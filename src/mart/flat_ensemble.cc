@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "common/logging.h"
 #include "common/simd.h"
@@ -16,180 +15,15 @@
 #endif
 
 namespace rpe {
-namespace flat_internal {
-
-NodeStore::Emitted NodeStore::EmitSubtree(
-    const std::vector<RegressionTree::Node>& nodes, int old_idx,
-    double learning_rate) {
-  const RegressionTree::Node& n = nodes[static_cast<size_t>(old_idx)];
-  const int32_t my = static_cast<int32_t>(topo.size());
-  if (n.feature < 0) {
-    // x <= NaN is false for every x (including -inf and NaN), so the walk
-    // always takes `right`, which points back at the leaf itself: the
-    // cursor parks here for the rest of a fixed-depth walk.
-    topo.vec().push_back(PackTopo(0, 0));
-    split.vec().push_back(std::numeric_limits<double>::quiet_NaN());
-    leaf.vec().push_back(learning_rate * n.value);
-    return {my, 0};
-  }
-  RPE_CHECK_LT(n.feature, 1 << kFeatureBits);
-  topo.vec().push_back(0);  // patched below once the right child is known
-  split.vec().push_back(n.threshold);
-  leaf.vec().push_back(0.0);
-  const Emitted left = EmitSubtree(nodes, n.left, learning_rate);
-  const Emitted right_child = EmitSubtree(nodes, n.right, learning_rate);
-  // The delta must fit the topo word's upper bits (trees beyond ~2M
-  // nodes would silently corrupt the walk otherwise).
-  RPE_CHECK_LT(right_child.slot - my, 1 << (31 - kFeatureBits));
-  topo.vec()[static_cast<size_t>(my)] =
-      PackTopo(n.feature, right_child.slot - my);
-  return {my, 1 + std::max(left.depth, right_child.depth)};
-}
-
-int32_t NodeStore::EmitTree(const RegressionTree& tree,
-                            double learning_rate) {
-  Emitted emitted;
-  if (tree.nodes().empty()) {
-    // MartModel sums lr * 0.0 for an empty tree; emit that as a leaf.
-    emitted.slot = static_cast<int32_t>(topo.size());
-    emitted.depth = 0;
-    topo.vec().push_back(PackTopo(0, 0));
-    split.vec().push_back(std::numeric_limits<double>::quiet_NaN());
-    leaf.vec().push_back(learning_rate * 0.0);
-  } else {
-    emitted = EmitSubtree(tree.nodes(), 0, learning_rate);
-  }
-  roots.vec().push_back(emitted.slot);
-  depth.vec().push_back(emitted.depth);
-  return emitted.slot;
-}
-
-void NodeStore::ScheduleRange(size_t t0, size_t t1) {
-  RPE_CHECK_EQ(sched.size(), t0);  // ranges are scheduled back to back
-  std::vector<int32_t>& order = sched.vec();
-  order.resize(t1);
-  for (size_t b = t0; b < t1; b += kBlock) {
-    const size_t e = std::min(t1, b + kBlock);
-    std::iota(order.begin() + static_cast<ptrdiff_t>(b),
-              order.begin() + static_cast<ptrdiff_t>(e),
-              static_cast<int32_t>(b));
-    // Stable depth sort inside the block: the 8-chain walk groups get
-    // trees of similar depth, so no chain idles in a parked leaf while a
-    // lone deep tree finishes.
-    std::stable_sort(order.begin() + static_cast<ptrdiff_t>(b),
-                     order.begin() + static_cast<ptrdiff_t>(e),
-                     [this](int32_t a, int32_t b2) {
-                       return depth[static_cast<size_t>(a)] <
-                              depth[static_cast<size_t>(b2)];
-                     });
-  }
-}
-
 namespace {
 
-/// One walk step: one 4-byte topo load yields both the feature id and the
-/// right-child distance; the split load and the (dependent) feature
-/// gather complete the step. Compiles to a conditional move — no
-/// data-dependent branch.
-inline int32_t Step(const double* __restrict x,
-                    const int32_t* __restrict topo,
-                    const double* __restrict split, int32_t idx) {
-  const int32_t packed = topo[idx];
-  const int32_t feat = packed & ((1 << NodeStore::kFeatureBits) - 1);
-  const int32_t right = idx + (packed >> NodeStore::kFeatureBits);
-  return x[feat] <= split[idx] ? idx + 1 : right;
-}
+using Tables = FlatEnsembleSet::Parts;
 
-}  // namespace
+/// Rows scored together by the batch path's vector kernel; it tiles any
+/// row count into groups of this many.
+constexpr size_t kBatchRows = 8;
 
-double NodeStore::Score(const double* __restrict x, size_t t0, size_t t1,
-                        double init) const {
-  const int32_t* __restrict tp = topo.data();
-  const double* __restrict sp = split.data();
-  const double* __restrict lv = leaf.data();
-  const int32_t* __restrict sc = sched.data();
-  double f = init;
-  // Per block: walk in depth-sorted order, park leaf values in a block
-  // buffer, then accumulate in original tree order — the sum runs
-  // bias-first, tree 0, 1, 2, … exactly like MartModel::Predict, so the
-  // result bits don't depend on the walk schedule. Eight trees walk
-  // concurrently: eight independent load→compare→step chains overlap in
-  // the pipeline, where a single chain would stall on every node fetch.
-  for (size_t b = t0; b < t1; b += kBlock) {
-    const size_t e = std::min(t1, b + kBlock);
-    // While this block walks (~tens of cycles per chain round), pull the
-    // next block's root nodes into cache: their addresses are known now,
-    // and the walk would otherwise start with eight serial misses.
-    const size_t prefetch_end = std::min(t1, b + 2 * kBlock);
-    for (size_t k = e; k < prefetch_end; ++k) {
-      const int32_t r = roots[static_cast<size_t>(sc[k])];
-      __builtin_prefetch(&tp[r], 0, 1);
-      __builtin_prefetch(&sp[r], 0, 1);
-    }
-    double vals[kBlock];
-    size_t t = b;
-    for (; t + 8 <= e; t += 8) {
-      const int32_t T0 = sc[t], T1 = sc[t + 1], T2 = sc[t + 2],
-                    T3 = sc[t + 3], T4 = sc[t + 4], T5 = sc[t + 5],
-                    T6 = sc[t + 6], T7 = sc[t + 7];
-      int32_t c0 = roots[T0], c1 = roots[T1], c2 = roots[T2],
-              c3 = roots[T3], c4 = roots[T4], c5 = roots[T5],
-              c6 = roots[T6], c7 = roots[T7];
-      // Depth-sorted within the block: the group's max is the last tree.
-      // Best-first trees are unbalanced, so a typical root→leaf path is
-      // much shorter than the max depth; once every cursor is parked in a
-      // self-looping leaf (nothing moved this step), the group is done.
-      const int32_t steps = depth[T7];
-      for (int32_t s = 0; s < steps; ++s) {
-        const int32_t n0 = Step(x, tp, sp, c0);
-        const int32_t n1 = Step(x, tp, sp, c1);
-        const int32_t n2 = Step(x, tp, sp, c2);
-        const int32_t n3 = Step(x, tp, sp, c3);
-        const int32_t n4 = Step(x, tp, sp, c4);
-        const int32_t n5 = Step(x, tp, sp, c5);
-        const int32_t n6 = Step(x, tp, sp, c6);
-        const int32_t n7 = Step(x, tp, sp, c7);
-        const int32_t moved = (n0 ^ c0) | (n1 ^ c1) | (n2 ^ c2) |
-                              (n3 ^ c3) | (n4 ^ c4) | (n5 ^ c5) |
-                              (n6 ^ c6) | (n7 ^ c7);
-        c0 = n0;
-        c1 = n1;
-        c2 = n2;
-        c3 = n3;
-        c4 = n4;
-        c5 = n5;
-        c6 = n6;
-        c7 = n7;
-        if (moved == 0) break;
-      }
-      vals[T0 - b] = lv[c0];
-      vals[T1 - b] = lv[c1];
-      vals[T2 - b] = lv[c2];
-      vals[T3 - b] = lv[c3];
-      vals[T4 - b] = lv[c4];
-      vals[T5 - b] = lv[c5];
-      vals[T6 - b] = lv[c6];
-      vals[T7 - b] = lv[c7];
-    }
-    for (; t < e; ++t) {
-      const int32_t tree = sc[t];
-      int32_t c = roots[tree];
-      const int32_t steps = depth[tree];
-      for (int32_t s = 0; s < steps; ++s) {
-        const int32_t n = Step(x, tp, sp, c);
-        if (n == c) break;  // parked in a leaf
-        c = n;
-      }
-      vals[tree - b] = lv[c];
-    }
-    for (size_t k = b; k < e; ++k) f += vals[k - b];
-  }
-  return f;
-}
-
-namespace {
-
-/// One split node during QuickScorer table construction.
+/// One split node during table construction.
 struct QsRawEntry {
   int32_t feature;
   double threshold;
@@ -197,9 +31,9 @@ struct QsRawEntry {
   uint64_t mask;
 };
 
-/// Leaf bookkeeping for one tree during QuickScorer table construction:
-/// DFS left-first so leaf j is the j-th leaf in left-to-right order, and
-/// each interior node's left subtree covers a contiguous leaf range.
+/// Leaf bookkeeping for one tree during table construction: DFS
+/// left-first so leaf j is the j-th leaf in left-to-right order, and each
+/// interior node's left subtree covers a contiguous leaf range.
 struct QsTreeBuilder {
   const std::vector<RegressionTree::Node>* nodes;
   std::vector<QsRawEntry>* entries;
@@ -229,12 +63,12 @@ struct QsTreeBuilder {
 };
 
 /// Sort raw entries into (feature, ascending threshold) order and fill
-/// the parallel feat_begin/threshold/entry_tree/entry_mask tables — the
-/// shared tail of the per-model and merged QuickScorer builds.
-template <typename Table>
-void FillEntryTables(std::vector<QsRawEntry>* entries, Table* out) {
+/// the parallel feat_begin/threshold/entry_tree/entry_mask tables.
+void FillEntryTables(std::vector<QsRawEntry>* entries, Tables* out) {
   // Threshold ties need no particular order: x > threshold fires all or
-  // none, and mask ANDs commute.
+  // none, and mask ANDs commute. The sort is stable anyway, so ties keep
+  // their (model, tree, DFS) emission order and the tables are a pure
+  // function of the models.
   std::stable_sort(entries->begin(), entries->end(),
                    [](const QsRawEntry& a, const QsRawEntry& b) {
                      return a.feature != b.feature
@@ -256,55 +90,27 @@ void FillEntryTables(std::vector<QsRawEntry>* entries, Table* out) {
   }
 }
 
-}  // namespace
-
-QuickScorerModel QuickScorerModel::Build(const MartModel& model) {
-  QuickScorerModel qs;
-  qs.bias = model.bias();
-  qs.num_trees = static_cast<int32_t>(model.num_trees());
-  for (const RegressionTree& tree : model.trees()) {
-    if (tree.num_leaves() > 64) return qs;  // usable stays false
-    for (const auto& n : tree.nodes()) {
-      qs.num_features = std::max(qs.num_features, n.feature + 1);
-    }
-  }
-
-  std::vector<QsRawEntry> entries;
-  for (int32_t t = 0; t < qs.num_trees; ++t) {
-    const RegressionTree& tree = model.trees()[static_cast<size_t>(t)];
-    qs.leaf_base.vec().push_back(static_cast<int32_t>(qs.leaf_value.size()));
-    QsTreeBuilder builder{&tree.nodes(), &entries, &qs.leaf_value.vec(), t};
-    if (tree.nodes().empty()) {
-      // MartModel sums lr * 0.0 for an empty tree: one constant leaf.
-      qs.leaf_value.vec().push_back(model.learning_rate() * 0.0);
-      builder.next_leaf = 1;
-    } else {
-      builder.Walk(0, model.learning_rate());
-    }
-    qs.init_mask.vec().push_back(
-        builder.next_leaf >= 64 ? ~uint64_t{0}
-                                : (uint64_t{1} << builder.next_leaf) - 1);
-  }
-
-  FillEntryTables(&entries, &qs);
-  qs.usable = true;
-  return qs;
-}
-
-double QuickScorerModel::Score(const double* __restrict x,
-                               std::vector<uint64_t>* bits_scratch) const {
+/// out[m] = model m's prediction for x; out.size() must equal the model
+/// count. `bits_scratch` is reused across calls (resized to the global
+/// tree count), keeping the hot path allocation-free.
+void ScoreAll(const Tables& t, const double* __restrict x,
+              std::vector<uint64_t>* bits_scratch, std::span<double> out) {
   std::vector<uint64_t>& bits = *bits_scratch;
-  bits.assign(init_mask.begin(), init_mask.end());
-  const double* __restrict thr = threshold.data();
-  const int32_t* __restrict tr = entry_tree.data();
-  const uint64_t* __restrict mk = entry_mask.data();
-  for (int32_t f = 0; f < num_features; ++f) {
-    const size_t end = feat_begin[static_cast<size_t>(f) + 1];
-    size_t k = feat_begin[static_cast<size_t>(f)];
+  bits.assign(t.init_mask.begin(), t.init_mask.end());
+  const double* __restrict thr = t.threshold.data();
+  const int32_t* __restrict tr = t.entry_tree.data();
+  const uint64_t* __restrict mk = t.entry_mask.data();
+  // The shared feature loop: x[f] is loaded and NaN-tested once for every
+  // model of the set; the merged ascending-threshold list preserves each
+  // model's early exit (a model's entries past its own cut simply never
+  // satisfy xf > thr).
+  for (int32_t f = 0; f < t.num_features; ++f) {
+    const size_t end = t.feat_begin[static_cast<size_t>(f) + 1];
+    size_t k = t.feat_begin[static_cast<size_t>(f)];
     const double xf = x[f];
     if (std::isnan(xf)) {
       // The tree walk sends NaN right at every node (x <= t is false),
-      // so every node of this feature is a false node.
+      // so every node of this feature is a false node — in every model.
       for (; k < end; ++k) bits[static_cast<size_t>(tr[k])] &= mk[k];
       continue;
     }
@@ -314,111 +120,35 @@ double QuickScorerModel::Score(const double* __restrict x,
       bits[static_cast<size_t>(tr[k])] &= mk[k];
     }
   }
-  double f = bias;
-  const int32_t* __restrict lb = leaf_base.data();
-  const double* __restrict lv = leaf_value.data();
-  for (int32_t t = 0; t < num_trees; ++t) {
+  const int32_t* __restrict lb = t.leaf_base.data();
+  const double* __restrict lv = t.leaf_value.data();
+  for (size_t m = 0; m + 1 < t.model_tree_begin.size(); ++m) {
+    double f = t.bias[m];
     // The exit leaf is the lowest surviving bit (leaves left of it were
     // cleared by a false node on the exit path; see header comment).
-    f += lv[lb[t] + std::countr_zero(bits[static_cast<size_t>(t)])];
-  }
-  return f;
-}
-
-MergedQuickScorer MergedQuickScorer::Build(
-    const std::vector<QuickScorerModel>& models) {
-  MergedQuickScorer merged;
-  for (const QuickScorerModel& qs : models) {
-    if (!qs.usable) return merged;  // usable stays false
-    merged.num_features = std::max(merged.num_features, qs.num_features);
-  }
-
-  merged.model_tree_begin.vec().push_back(0);
-  for (const QuickScorerModel& qs : models) {
-    const int32_t leaf_off = static_cast<int32_t>(merged.leaf_value.size());
-    merged.bias.vec().push_back(qs.bias);
-    merged.init_mask.vec().insert(merged.init_mask.vec().end(),
-                                  qs.init_mask.begin(), qs.init_mask.end());
-    for (int32_t lb : qs.leaf_base) {
-      merged.leaf_base.vec().push_back(leaf_off + lb);
-    }
-    merged.leaf_value.vec().insert(merged.leaf_value.vec().end(),
-                                   qs.leaf_value.begin(),
-                                   qs.leaf_value.end());
-    merged.model_tree_begin.vec().push_back(merged.model_tree_begin.back() +
-                                            qs.num_trees);
-  }
-
-  // Re-sort every model's (already feature-grouped) entries into one
-  // global (feature, ascending threshold) order with global tree ids.
-  std::vector<QsRawEntry> entries;
-  for (size_t m = 0; m < models.size(); ++m) {
-    const QuickScorerModel& qs = models[m];
-    const int32_t tree_off = merged.model_tree_begin[m];
-    for (int32_t f = 0; f < qs.num_features; ++f) {
-      for (size_t k = qs.feat_begin[static_cast<size_t>(f)];
-           k < qs.feat_begin[static_cast<size_t>(f) + 1]; ++k) {
-        entries.push_back(
-            {f, qs.threshold[k], tree_off + qs.entry_tree[k],
-             qs.entry_mask[k]});
-      }
-    }
-  }
-  FillEntryTables(&entries, &merged);
-  merged.usable = true;
-  return merged;
-}
-
-void MergedQuickScorer::ScoreAll(const double* __restrict x,
-                                 std::vector<uint64_t>* bits_scratch,
-                                 std::span<double> out) const {
-  std::vector<uint64_t>& bits = *bits_scratch;
-  bits.assign(init_mask.begin(), init_mask.end());
-  const double* __restrict thr = threshold.data();
-  const int32_t* __restrict tr = entry_tree.data();
-  const uint64_t* __restrict mk = entry_mask.data();
-  // The shared feature loop: x[f] is loaded and NaN-tested once for every
-  // model of the set; the merged ascending-threshold list preserves each
-  // model's early exit (a model's entries past its own cut simply never
-  // satisfy xf > thr).
-  for (int32_t f = 0; f < num_features; ++f) {
-    const size_t end = feat_begin[static_cast<size_t>(f) + 1];
-    size_t k = feat_begin[static_cast<size_t>(f)];
-    const double xf = x[f];
-    if (std::isnan(xf)) {
-      // The tree walk sends NaN right at every node (x <= t is false),
-      // so every node of this feature is a false node — in every model.
-      for (; k < end; ++k) bits[static_cast<size_t>(tr[k])] &= mk[k];
-      continue;
-    }
-    for (; k < end && xf > thr[k]; ++k) {
-      bits[static_cast<size_t>(tr[k])] &= mk[k];
-    }
-  }
-  const int32_t* __restrict lb = leaf_base.data();
-  const double* __restrict lv = leaf_value.data();
-  for (size_t m = 0; m + 1 < model_tree_begin.size(); ++m) {
-    double f = bias[m];
-    for (int32_t t = model_tree_begin[m]; t < model_tree_begin[m + 1]; ++t) {
-      f += lv[lb[t] +
-              std::countr_zero(bits[static_cast<size_t>(t)])];
+    for (int32_t tree = t.model_tree_begin[m];
+         tree < t.model_tree_begin[m + 1]; ++tree) {
+      f += lv[lb[tree] + std::countr_zero(bits[static_cast<size_t>(tree)])];
     }
     out[m] = f;
   }
 }
 
-namespace {
+/// Reusable scratch for the batch path (SoA feature tile + per-lane leaf
+/// bitvectors); allocation-free after the first call on each thread.
+struct BatchScratch {
+  std::vector<double> x;           ///< tile: x[f * kBatchRows + lane]
+  std::vector<uint64_t> bits;      ///< bits[tree * kBatchRows + lane]
+  std::vector<uint64_t> row_bits;  ///< ScoreAll scratch for tail rows
+};
 
 /// Scalar reference for the batch path: ScoreAll row by row. The vector
 /// kernel must match this bit-for-bit on every input.
-void BatchScoreScalar(const MergedQuickScorer& qs,
-                      std::span<const double* const> rows,
-                      MergedQuickScorer::BatchScratch* scratch,
-                      std::span<double> out) {
-  const size_t stride = qs.bias.size();
+void BatchScoreScalar(const Tables& t, std::span<const double* const> rows,
+                      BatchScratch* scratch, std::span<double> out) {
+  const size_t stride = t.bias.size();
   for (size_t r = 0; r < rows.size(); ++r) {
-    qs.ScoreAll(rows[r], &scratch->row_bits,
-                out.subspan(r * stride, stride));
+    ScoreAll(t, rows[r], &scratch->row_bits, out.subspan(r * stride, stride));
   }
 }
 
@@ -435,10 +165,11 @@ void BatchScoreScalar(const MergedQuickScorer& qs,
 /// batch form of the scalar early exit. Leaf values then accumulate per
 /// lane in ScoreAll's exact order (bias first, trees ascending), so every
 /// output double is bit-identical to the per-row path.
-__attribute__((target("avx2"))) void ScoreTile8Avx2(
-    const MergedQuickScorer& qs, const double* const* rows,
-    MergedQuickScorer::BatchScratch* s, double* out) {
-  constexpr size_t kRows = MergedQuickScorer::kBatchRows;
+__attribute__((target("avx2"))) void ScoreTile8Avx2(const Tables& qs,
+                                                   const double* const* rows,
+                                                   BatchScratch* s,
+                                                   double* out) {
+  constexpr size_t kRows = kBatchRows;
   const size_t nf = static_cast<size_t>(qs.num_features);
   const size_t num_trees = qs.init_mask.size();
   const size_t num_models = qs.bias.size();
@@ -498,7 +229,7 @@ __attribute__((target("avx2"))) void ScoreTile8Avx2(
       // Ascending thresholds: once no lane exceeds thr[k] none exceeds
       // any later threshold of this feature — the whole tile exits, the
       // batch form of ScoreAll's early exit (validated for borrowed
-      // tables by CheckQuickScorerTables).
+      // tables by FromParts).
       if (_mm256_testz_si256(c0, c0) && _mm256_testz_si256(c1, c1)) break;
       const __m256i mkv =
           _mm256_set1_epi64x(static_cast<long long>(mk[k]));
@@ -534,29 +265,24 @@ __attribute__((target("avx2"))) void ScoreTile8Avx2(
   }
 }
 
-void BatchScoreAvx2(const MergedQuickScorer& qs,
-                    std::span<const double* const> rows,
-                    MergedQuickScorer::BatchScratch* scratch,
-                    std::span<double> out) {
-  constexpr size_t kRows = MergedQuickScorer::kBatchRows;
-  const size_t stride = qs.bias.size();
+void BatchScoreAvx2(const Tables& t, std::span<const double* const> rows,
+                    BatchScratch* scratch, std::span<double> out) {
+  constexpr size_t kRows = kBatchRows;
+  const size_t stride = t.bias.size();
   size_t r = 0;
   for (; r + kRows <= rows.size(); r += kRows) {
-    ScoreTile8Avx2(qs, rows.data() + r, scratch, out.data() + r * stride);
+    ScoreTile8Avx2(t, rows.data() + r, scratch, out.data() + r * stride);
   }
   // Tail rows (< one tile) take the per-row path — same bits either way.
   for (; r < rows.size(); ++r) {
-    qs.ScoreAll(rows[r], &scratch->row_bits,
-                out.subspan(r * stride, stride));
+    ScoreAll(t, rows[r], &scratch->row_bits, out.subspan(r * stride, stride));
   }
 }
 
 #endif  // RPE_BATCH_AVX2
 
-using BatchScoreFn = void (*)(const MergedQuickScorer&,
-                              std::span<const double* const>,
-                              MergedQuickScorer::BatchScratch*,
-                              std::span<double>);
+using BatchScoreFn = void (*)(const Tables&, std::span<const double* const>,
+                              BatchScratch*, std::span<double>);
 
 std::atomic<BatchScoreFn> g_batch_score{&BatchScoreScalar};
 
@@ -576,110 +302,87 @@ const char* BindBatchScore(simd::Tier tier) {
 const simd::internal::KernelRegistrar kBatchScoreRegistrar("batch_score",
                                                            &BindBatchScore);
 
-}  // namespace
-
-void MergedQuickScorer::PredictAllBatch(std::span<const double* const> rows,
-                                        BatchScratch* scratch,
-                                        std::span<double> out) const {
-  RPE_CHECK_EQ(out.size(), rows.size() * bias.size());
-  g_batch_score.load(std::memory_order_relaxed)(*this, rows, scratch, out);
-}
-
-}  // namespace flat_internal
-
-FlatEnsemble FlatEnsemble::Compile(const MartModel& model) {
-  FlatEnsemble flat;
-  flat.bias_ = model.bias();
-  flat.store_.roots.vec().reserve(model.num_trees());
-  flat.store_.depth.vec().reserve(model.num_trees());
-  for (const RegressionTree& tree : model.trees()) {
-    flat.store_.EmitTree(tree, model.learning_rate());
-  }
-  flat.store_.ScheduleRange(0, model.num_trees());
-  return flat;
-}
-
-double FlatEnsemble::Predict(std::span<const double> features) const {
-  return store_.Score(features.data(), 0, num_trees(), bias_);
-}
-
-void FlatEnsemble::PredictBatch(const Dataset& data,
-                                std::span<double> out) const {
-  RPE_CHECK_EQ(out.size(), data.num_examples());
-  for (size_t i = 0; i < out.size(); ++i) out[i] = bias_;
-  // Tile over tree blocks small enough to stay cache-resident across the
-  // whole batch; every row still accumulates trees in ascending order
-  // (bias first), so each out[i] is bitwise equal to Predict(row i).
-  const size_t nt = num_trees();
-  for (size_t t0 = 0; t0 < nt; t0 += flat_internal::NodeStore::kBlock) {
-    const size_t t1 = std::min(nt, t0 + flat_internal::NodeStore::kBlock);
-    for (size_t i = 0; i < out.size(); ++i) {
-      out[i] = store_.Score(data.ExampleSpan(i).data(), t0, t1, out[i]);
-    }
-  }
-}
-
-FlatEnsembleSet FlatEnsembleSet::Compile(const std::vector<MartModel>& models) {
-  FlatEnsembleSet set;
-  set.bias_.vec().reserve(models.size());
-  set.tree_begin_.vec().reserve(models.size() + 1);
-  set.tree_begin_.vec().push_back(0);
-  for (const MartModel& model : models) {
-    set.bias_.vec().push_back(model.bias());
-    for (const RegressionTree& tree : model.trees()) {
-      set.store_.EmitTree(tree, model.learning_rate());
-    }
-    set.store_.ScheduleRange(static_cast<size_t>(set.tree_begin_.back()),
-                             set.store_.roots.size());
-    set.tree_begin_.vec().push_back(set.store_.roots.size());
-    set.qs_.push_back(flat_internal::QuickScorerModel::Build(model));
-  }
-  set.merged_ = flat_internal::MergedQuickScorer::Build(set.qs_);
-  return set;
-}
-
-namespace {
-
 Status FlatInvalid(const std::string& what) {
   return Status::InvalidArgument("flat snapshot section: " + what);
 }
 
-/// Shared checks for a QuickScorer table (per-model or merged): entry
-/// lists consistent with feat_begin, tree ids in [0, num_trees), and
-/// every reachable leaf index inside leaf_value. `leaf_value` must carry
-/// the writer's 64-slot guard tail: a hostile mask set can clear a tree's
-/// whole bitvector, and countr_zero(0) == 64 then indexes leaf_base + 64
-/// — inside the guard, never past the slab.
-template <typename Table>
-Status CheckQuickScorerTables(const Table& t, int32_t num_trees,
-                              size_t num_inputs, const char* what) {
-  const std::string where(what);
+}  // namespace
+
+FlatEnsembleSet FlatEnsembleSet::Compile(const std::vector<MartModel>& models) {
+  FlatEnsembleSet set;
+  Tables& t = set.tables_;
+  // Entries are emitted in (model, tree, DFS) order; FillEntryTables'
+  // stable sort keeps that order among threshold ties.
+  std::vector<QsRawEntry> entries;
+  t.model_tree_begin.vec().push_back(0);
+  int32_t tree_id = 0;
+  for (const MartModel& model : models) {
+    t.bias.vec().push_back(model.bias());
+    for (const RegressionTree& tree : model.trees()) {
+      RPE_CHECK_LE(tree.num_leaves(), static_cast<size_t>(kMaxLeaves))
+          << "tree too wide for the compiled layout";
+      t.leaf_base.vec().push_back(static_cast<int32_t>(t.leaf_value.size()));
+      QsTreeBuilder builder{&tree.nodes(), &entries, &t.leaf_value.vec(),
+                            tree_id++};
+      if (tree.nodes().empty()) {
+        // MartModel sums lr * 0.0 for an empty tree: one constant leaf.
+        t.leaf_value.vec().push_back(model.learning_rate() * 0.0);
+        builder.next_leaf = 1;
+      } else {
+        builder.Walk(0, model.learning_rate());
+      }
+      t.init_mask.vec().push_back(
+          builder.next_leaf >= 64 ? ~uint64_t{0}
+                                  : (uint64_t{1} << builder.next_leaf) - 1);
+    }
+    t.model_tree_begin.vec().push_back(tree_id);
+  }
+  for (const QsRawEntry& entry : entries) {
+    t.num_features = std::max(t.num_features, entry.feature + 1);
+  }
+  FillEntryTables(&entries, &t);
+  return set;
+}
+
+Result<FlatEnsembleSet> FlatEnsembleSet::FromParts(Parts parts,
+                                                   size_t num_inputs) {
+  const Tables& t = parts;
+  const size_t num_models = t.bias.size();
+  if (t.model_tree_begin.size() != num_models + 1 ||
+      t.model_tree_begin[0] != 0) {
+    return FlatInvalid("model table shape");
+  }
+  for (size_t m = 0; m < num_models; ++m) {
+    if (t.model_tree_begin[m + 1] < t.model_tree_begin[m]) {
+      return FlatInvalid("model_tree_begin not nondecreasing");
+    }
+  }
+  const size_t num_trees = static_cast<size_t>(t.model_tree_begin.back());
   if (t.num_features < 0 ||
       static_cast<size_t>(t.num_features) > num_inputs) {
-    return FlatInvalid(where + " feature count out of range");
+    return FlatInvalid("feature count out of range");
   }
-  if (num_trees < 0 ||
-      t.init_mask.size() != static_cast<size_t>(num_trees) ||
-      t.leaf_base.size() != static_cast<size_t>(num_trees)) {
-    return FlatInvalid(where + " per-tree table sizes disagree");
+  if (t.init_mask.size() != num_trees || t.leaf_base.size() != num_trees) {
+    return FlatInvalid("per-tree table sizes disagree");
   }
   if (t.feat_begin.size() != static_cast<size_t>(t.num_features) + 1 ||
-      (t.feat_begin.size() > 0 && t.feat_begin[0] != 0)) {
-    return FlatInvalid(where + " feat_begin shape");
+      t.feat_begin[0] != 0) {
+    return FlatInvalid("feat_begin shape");
   }
   for (size_t f = 1; f < t.feat_begin.size(); ++f) {
     if (t.feat_begin[f] < t.feat_begin[f - 1]) {
-      return FlatInvalid(where + " feat_begin not nondecreasing");
+      return FlatInvalid("feat_begin not nondecreasing");
     }
   }
   const size_t entries = t.threshold.size();
   if (t.entry_tree.size() != entries || t.entry_mask.size() != entries ||
-      (t.feat_begin.size() > 0 && t.feat_begin.back() != entries)) {
-    return FlatInvalid(where + " entry table sizes disagree");
+      t.feat_begin.back() != entries) {
+    return FlatInvalid("entry table sizes disagree");
   }
   for (size_t k = 0; k < entries; ++k) {
-    if (t.entry_tree[k] < 0 || t.entry_tree[k] >= num_trees) {
-      return FlatInvalid(where + " entry tree id out of range");
+    if (t.entry_tree[k] < 0 ||
+        static_cast<size_t>(t.entry_tree[k]) >= num_trees) {
+      return FlatInvalid("entry tree id out of range");
     }
   }
   // Both scoring paths early-exit a feature's entry list at the first
@@ -692,181 +395,39 @@ Status CheckQuickScorerTables(const Table& t, int32_t num_trees,
     for (size_t k = t.feat_begin[f]; k < t.feat_begin[f + 1]; ++k) {
       if (std::isnan(t.threshold[k]) ||
           (k > t.feat_begin[f] && t.threshold[k] < t.threshold[k - 1])) {
-        return FlatInvalid(where + " entry thresholds not ascending");
+        return FlatInvalid("entry thresholds not ascending");
       }
     }
   }
-  for (int32_t tr = 0; tr < num_trees; ++tr) {
-    const int32_t lb = t.leaf_base[static_cast<size_t>(tr)];
-    if (t.init_mask[static_cast<size_t>(tr)] == 0 || lb < 0 ||
+  // A hostile mask set can clear a tree's whole bitvector, and
+  // countr_zero(0) == 64 then indexes leaf_base + 64 — inside the
+  // writer's guard tail, never past the slab.
+  for (size_t tree = 0; tree < num_trees; ++tree) {
+    const int32_t lb = t.leaf_base[tree];
+    if (t.init_mask[tree] == 0 || lb < 0 ||
         static_cast<size_t>(lb) + 65 > t.leaf_value.size()) {
-      return FlatInvalid(where + " leaf table out of range");
+      return FlatInvalid("leaf table out of range");
     }
-  }
-  return Status::OK();
-}
-
-Status CheckNodeStore(const flat_internal::NodeStore& store,
-                      size_t num_inputs) {
-  const size_t num_trees = store.roots.size();
-  const size_t num_nodes = store.topo.size();
-  if (store.depth.size() != num_trees || store.sched.size() != num_trees ||
-      store.split.size() != num_nodes || store.leaf.size() != num_nodes) {
-    return FlatInvalid("node store slab sizes disagree");
-  }
-  if (num_nodes > 0 && num_inputs == 0) {
-    return FlatInvalid("node store with zero-width inputs");
-  }
-  for (size_t t = 0; t < num_trees; ++t) {
-    if (store.roots[t] < 0 ||
-        static_cast<size_t>(store.roots[t]) >= num_nodes ||
-        store.depth[t] < 0 ||
-        static_cast<size_t>(store.depth[t]) > num_nodes) {
-      return FlatInvalid("tree root or depth out of range");
-    }
-  }
-  constexpr int32_t kFeatureMask =
-      (1 << flat_internal::NodeStore::kFeatureBits) - 1;
-  for (size_t i = 0; i < num_nodes; ++i) {
-    const int32_t packed = store.topo[i];
-    const int32_t delta = packed >> flat_internal::NodeStore::kFeatureBits;
-    const int32_t feature = packed & kFeatureMask;
-    if (packed < 0 || static_cast<size_t>(feature) >= num_inputs) {
-      return FlatInvalid("node feature out of range");
-    }
-    if (delta == 0) {
-      // A leaf must park: a finite split would let the walk step to
-      // slot i + 1, which may not exist.
-      if (!std::isnan(store.split[i])) {
-        return FlatInvalid("leaf node with a finite split");
-      }
-    } else if (i + static_cast<size_t>(delta) >= num_nodes) {
-      return FlatInvalid("right-child delta past the node store");
-    }
-  }
-  return Status::OK();
-}
-
-/// The walk schedule must be a permutation of each kBlock-aligned block
-/// of each model's tree range — Score scatters leaf values with
-/// vals[sched[t] - block_base], so anything else indexes off the block
-/// buffer.
-Status CheckSchedule(const flat_internal::NodeStore& store,
-                     const Slab<uint64_t>& tree_begin) {
-  constexpr size_t kBlock = flat_internal::NodeStore::kBlock;
-  bool seen[kBlock];
-  for (size_t m = 0; m + 1 < tree_begin.size(); ++m) {
-    const size_t t0 = tree_begin[m];
-    const size_t t1 = tree_begin[m + 1];
-    for (size_t b = t0; b < t1; b += kBlock) {
-      const size_t e = std::min(t1, b + kBlock);
-      std::fill(seen, seen + (e - b), false);
-      for (size_t t = b; t < e; ++t) {
-        const int32_t tree = store.sched[t];
-        if (tree < 0 || static_cast<size_t>(tree) < b ||
-            static_cast<size_t>(tree) >= e ||
-            seen[static_cast<size_t>(tree) - b]) {
-          return FlatInvalid("walk schedule is not a per-block permutation");
-        }
-        seen[static_cast<size_t>(tree) - b] = true;
-      }
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<FlatEnsembleSet> FlatEnsembleSet::FromParts(Parts parts,
-                                                   size_t num_inputs) {
-  const size_t num_models = parts.bias.size();
-  if (parts.tree_begin.size() != num_models + 1 || parts.tree_begin[0] != 0) {
-    return FlatInvalid("tree_begin shape");
-  }
-  for (size_t m = 0; m < num_models; ++m) {
-    if (parts.tree_begin[m + 1] < parts.tree_begin[m]) {
-      return FlatInvalid("tree_begin not nondecreasing");
-    }
-  }
-  if (parts.tree_begin.back() != parts.store.roots.size()) {
-    return FlatInvalid("tree_begin does not cover the node store");
-  }
-  RPE_RETURN_NOT_OK(CheckNodeStore(parts.store, num_inputs));
-  RPE_RETURN_NOT_OK(CheckSchedule(parts.store, parts.tree_begin));
-  if (parts.qs.size() != num_models) {
-    return FlatInvalid("per-model QuickScorer count disagrees");
-  }
-  for (const flat_internal::QuickScorerModel& qs : parts.qs) {
-    if (!qs.usable) continue;
-    RPE_RETURN_NOT_OK(CheckQuickScorerTables(qs, qs.num_trees, num_inputs,
-                                             "per-model QuickScorer"));
-  }
-  if (parts.merged.usable) {
-    const auto& merged = parts.merged;
-    if (merged.model_tree_begin.size() != num_models + 1 ||
-        merged.bias.size() != num_models ||
-        (num_models > 0 && merged.model_tree_begin[0] != 0)) {
-      return FlatInvalid("merged model table shape");
-    }
-    for (size_t m = 0; m < num_models; ++m) {
-      if (merged.model_tree_begin[m + 1] < merged.model_tree_begin[m]) {
-        return FlatInvalid("merged model_tree_begin not nondecreasing");
-      }
-    }
-    const int32_t total_trees =
-        num_models > 0 ? merged.model_tree_begin.back() : 0;
-    RPE_RETURN_NOT_OK(CheckQuickScorerTables(merged, total_trees, num_inputs,
-                                             "merged QuickScorer"));
   }
   FlatEnsembleSet set;
-  set.bias_ = std::move(parts.bias);
-  set.tree_begin_ = std::move(parts.tree_begin);
-  set.store_ = std::move(parts.store);
-  set.qs_ = std::move(parts.qs);
-  set.merged_ = std::move(parts.merged);
+  set.tables_ = std::move(parts);
   return set;
-}
-
-double FlatEnsembleSet::ScoreModel(size_t m, const double* x) const {
-  if (qs_[m].usable) {
-    // Thread-local scratch keeps the hot path allocation-free after the
-    // first call on each thread.
-    static thread_local std::vector<uint64_t> bits;
-    return qs_[m].Score(x, &bits);
-  }
-  return store_.Score(x, static_cast<size_t>(tree_begin_[m]),
-                      static_cast<size_t>(tree_begin_[m + 1]), bias_[m]);
 }
 
 void FlatEnsembleSet::PredictAll(std::span<const double> features,
                                  std::span<double> out) const {
   RPE_CHECK_EQ(out.size(), num_models());
-  if (merged_.usable) {
-    static thread_local std::vector<uint64_t> bits;
-    merged_.ScoreAll(features.data(), &bits, out);
-    return;
-  }
-  for (size_t m = 0; m < out.size(); ++m) {
-    out[m] = ScoreModel(m, features.data());
-  }
+  // Thread-local scratch keeps the hot path allocation-free after the
+  // first call on each thread.
+  static thread_local std::vector<uint64_t> bits;
+  ScoreAll(tables_, features.data(), &bits, out);
 }
 
 void FlatEnsembleSet::PredictAllBatch(std::span<const double* const> rows,
                                       std::span<double> out) const {
   RPE_CHECK_EQ(out.size(), rows.size() * num_models());
-  if (merged_.usable) {
-    static thread_local flat_internal::MergedQuickScorer::BatchScratch
-        scratch;
-    merged_.PredictAllBatch(rows, &scratch, out);
-    return;
-  }
-  // No merged tables (node-walk fallback models): per-row, the exact
-  // PredictAll loop.
-  for (size_t r = 0; r < rows.size(); ++r) {
-    for (size_t m = 0; m < num_models(); ++m) {
-      out[r * num_models() + m] = ScoreModel(m, rows[r]);
-    }
-  }
+  static thread_local BatchScratch scratch;
+  g_batch_score.load(std::memory_order_relaxed)(tables_, rows, &scratch, out);
 }
 
 void FlatEnsembleSet::ArgMinBatch(std::span<const double* const> rows,
@@ -889,24 +450,12 @@ void FlatEnsembleSet::ArgMinBatch(std::span<const double* const> rows,
 
 size_t FlatEnsembleSet::ArgMin(std::span<const double> features) const {
   RPE_CHECK_GT(num_models(), 0u);
-  if (merged_.usable) {
-    static thread_local std::vector<double> scores;
-    scores.resize(num_models());
-    PredictAll(features, scores);
-    size_t best = 0;
-    for (size_t m = 1; m < scores.size(); ++m) {
-      if (scores[m] < scores[best]) best = m;
-    }
-    return best;
-  }
+  static thread_local std::vector<double> scores;
+  scores.resize(num_models());
+  PredictAll(features, scores);
   size_t best = 0;
-  double best_value = ScoreModel(0, features.data());
-  for (size_t m = 1; m < num_models(); ++m) {
-    const double v = ScoreModel(m, features.data());
-    if (v < best_value) {
-      best_value = v;
-      best = m;
-    }
+  for (size_t m = 1; m < scores.size(); ++m) {
+    if (scores[m] < scores[best]) best = m;
   }
   return best;
 }

@@ -75,8 +75,8 @@ void AccumulateColumnDenseScalar(const uint8_t* col, const double* res,
 /// \brief A fitted regression tree; predicts from raw feature vectors.
 class RegressionTree {
  public:
-  /// \brief One tree node; exposed read-only so FlatEnsemble can compile
-  /// the ensemble into its contiguous layout.
+  /// \brief One tree node; exposed read-only so FlatEnsembleSet can
+  /// compile the ensemble into its QuickScorer tables.
   struct Node {
     int feature = -1;      ///< -1 for leaves
     double threshold = 0;  ///< go left iff x[feature] <= threshold

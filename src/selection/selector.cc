@@ -42,6 +42,8 @@ EstimatorSelector EstimatorSelector::Train(
                              ? schema.num_features()
                              : schema.num_static_features();
   RPE_CHECK(!selector.pool_.empty());
+  RPE_CHECK_LE(params.tree.max_leaves, FlatEnsembleSet::kMaxLeaves)
+      << "max_leaves beyond what the compiled scoring layout holds";
 
   // The per-candidate error regressors are independent (same features,
   // different labels), so they train concurrently; each lands in its own
@@ -84,9 +86,17 @@ Result<EstimatorSelector> EstimatorSelector::FromModels(
                                               : schema.num_static_features();
   // The models come from persisted bytes: a split on a feature beyond the
   // selector's input width would read past the feature vector at scoring
-  // time, so it must be an error here, not a crash later.
+  // time, and a tree wider than the compiled layout's leaf bitvector
+  // would abort the compiler, so both must be errors here.
   for (const MartModel& model : models) {
     for (const RegressionTree& tree : model.trees()) {
+      if (tree.num_leaves() >
+          static_cast<size_t>(FlatEnsembleSet::kMaxLeaves)) {
+        return Status::InvalidArgument(
+            "selector model tree has " + std::to_string(tree.num_leaves()) +
+            " leaves, beyond the compiled layout's " +
+            std::to_string(FlatEnsembleSet::kMaxLeaves));
+      }
       for (const RegressionTree::Node& n : tree.nodes()) {
         if (n.feature >= static_cast<int>(selector.num_inputs_)) {
           return Status::InvalidArgument(

@@ -23,11 +23,13 @@
 // pool) and must not be re-entered with the same mutable output.
 //
 // Error behavior: Train and the Select/Predict paths RPE_CHECK their
-// invariants (feature-vector arity must match the schema) — violations
+// invariants (feature-vector arity must match the schema; Train's
+// max_leaves must not exceed FlatEnsembleSet::kMaxLeaves) — violations
 // are programming errors and abort. FromModels is the untrusted-input
 // gate (snapshot loading): malformed persisted models (wrong pool/model
-// count, split features beyond the input width, hostile node graphs)
-// return Status instead of aborting.
+// count, split features beyond the input width, trees wider than
+// FlatEnsembleSet::kMaxLeaves, hostile node graphs) return Status
+// instead of aborting.
 #pragma once
 
 #include <span>

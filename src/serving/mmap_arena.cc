@@ -74,7 +74,6 @@ class AuxCursor {
   Status U32(uint32_t* v) { return Raw(v, sizeof *v); }
   Status U64(uint64_t* v) { return Raw(v, sizeof *v); }
   Status I32(int32_t* v) { return Raw(v, sizeof *v); }
-  Status F64(double* v) { return Raw(v, sizeof *v); }
 
   Status Align8() {
     const size_t aligned = (pos_ + 7) & ~size_t{7};
@@ -118,21 +117,6 @@ class AuxCursor {
   size_t pos_;
 };
 
-Status DecodeQsTables(AuxCursor* c, flat_internal::QuickScorerModel* qs) {
-  RPE_RETURN_NOT_OK(c->F64(&qs->bias));
-  RPE_RETURN_NOT_OK(c->I32(&qs->num_trees));
-  RPE_RETURN_NOT_OK(c->I32(&qs->num_features));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&qs->feat_begin));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&qs->threshold));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&qs->entry_tree));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&qs->entry_mask));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&qs->init_mask));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&qs->leaf_base));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&qs->leaf_value));
-  qs->usable = true;
-  return Status::OK();
-}
-
 /// One selector's flat section → a model-free EstimatorSelector whose
 /// scoring slabs alias the mapping. Structural validation happens in
 /// FlatEnsembleSet::FromParts / EstimatorSelector::FromFlat.
@@ -167,48 +151,22 @@ Result<EstimatorSelector> DecodeFlatSelector(AuxCursor* c,
     return Status::InvalidArgument("flat snapshot pool size mismatch");
   }
 
-  FlatEnsembleSet::Parts parts;
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.bias));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.tree_begin));
-  if (parts.bias.size() != num_models) {
-    return Status::InvalidArgument("flat snapshot bias size mismatch");
-  }
-
   Slab<uint64_t> gain_lens;
   Slab<double> gain_concat;
   RPE_RETURN_NOT_OK(c->BorrowSlab(&gain_lens));
   RPE_RETURN_NOT_OK(c->BorrowSlab(&gain_concat));
 
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.store.roots));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.store.depth));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.store.sched));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.store.topo));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.store.split));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.store.leaf));
-
-  for (uint64_t m = 0; m < num_models; ++m) {
-    uint32_t usable = 0;
-    RPE_RETURN_NOT_OK(c->U32(&usable));
-    flat_internal::QuickScorerModel qs;
-    if (usable != 0) RPE_RETURN_NOT_OK(DecodeQsTables(c, &qs));
-    parts.qs.push_back(std::move(qs));
-  }
-  uint32_t merged_usable = 0;
-  RPE_RETURN_NOT_OK(c->U32(&merged_usable));
-  if (merged_usable != 0) {
-    auto& merged = parts.merged;
-    RPE_RETURN_NOT_OK(c->I32(&merged.num_features));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.feat_begin));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.threshold));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.entry_tree));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.entry_mask));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.init_mask));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.leaf_base));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.leaf_value));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.model_tree_begin));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.bias));
-    merged.usable = true;
-  }
+  FlatEnsembleSet::Parts parts;
+  RPE_RETURN_NOT_OK(c->I32(&parts.num_features));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.feat_begin));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.threshold));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.entry_tree));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.entry_mask));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.init_mask));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.leaf_base));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.leaf_value));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.model_tree_begin));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.bias));
 
   // Gains are tiny (one double per feature per model): copy them out of
   // the mapping so FeatureImportance needs no arena bookkeeping.
@@ -273,8 +231,7 @@ Result<ArenaStackLoad> LoadSelectorStackMmap(const std::string& path) {
   const bool aligned =
       reinterpret_cast<uintptr_t>(frame.payload.data()) % 8 == 0 &&
       frame.aux_offset % 8 == 0;
-  if (frame.version != kSnapshotVersionLegacy && frame.aux_offset != 0 &&
-      aligned) {
+  if (frame.aux_offset != 0 && aligned) {
     RPE_RETURN_NOT_OK(snapshot_internal::CheckSchemaPrefix(frame.payload));
     auto holder = std::make_shared<ArenaBackedStack>();
     holder->arena = arena;
@@ -294,7 +251,7 @@ Result<ArenaStackLoad> LoadSelectorStackMmap(const std::string& path) {
     return out;
   }
 
-  // Copy fallback (legacy v1, no aux section, or unaligned slabs): decode
+  // Copy fallback (no aux section, or unaligned slabs): decode
   // straight from the mapping into heap-owned structures; the mapping is
   // released when `arena` goes out of scope.
   RPE_ASSIGN_OR_RETURN(SelectorStack stack, DecodeSelectorStack(bytes));

@@ -5,11 +5,11 @@
 // warm-restart / hot-publish path the serving tier uses when model slabs
 // are large enough that copying them through the heap dominates load time.
 //
-// How it works: a v2 snapshot carries an aux section with every compiled
-// slab 8-aligned (see serving/snapshot.h for the layout). The loader CRC-
-// validates the container, checks the feature schema, then constructs
-// Slab<T>::Borrow views over the mapped bytes and passes them through the
-// untrusted-input gates (FlatEnsembleSet::FromParts,
+// How it works: a selector-stack snapshot carries an aux section with
+// every compiled slab 8-aligned (see serving/snapshot.h for the layout).
+// The loader CRC-validates the container, checks the feature schema, then
+// constructs Slab<T>::Borrow views over the mapped bytes and passes them
+// through the untrusted-input gates (FlatEnsembleSet::FromParts,
 // EstimatorSelector::FromFlat) — a truncated, corrupt, or hostile file
 // yields a Status, never UB.
 //
@@ -22,8 +22,8 @@
 // responsibility to avoid (publish by writing a new file + atomic rename,
 // never by rewriting in place).
 //
-// Fallbacks: legacy v1 files (no aux section) and files whose aux
-// section sits at an unaligned offset degrade gracefully to the ordinary
+// Fallbacks: files without an aux section and files whose aux section
+// sits at an unaligned offset degrade gracefully to the ordinary
 // copy decoder (DecodeSelectorStack) over the mapped bytes — same
 // scores, heap-owned buffers, mapping released after load. Structural
 // damage (bad magic, CRC mismatch, truncation, out-of-range tables) is
@@ -82,8 +82,7 @@ struct ArenaStackLoad {
   /// The loaded stack; when zero_copy, it transitively owns the mapping.
   std::shared_ptr<const SelectorStack> stack;
   /// True when scoring tables alias the mapping; false when the load fell
-  /// back to the copy decoder (legacy v1 file, missing aux section, or
-  /// misaligned slabs).
+  /// back to the copy decoder (missing aux section or misaligned slabs).
   bool zero_copy = false;
   size_t mapped_bytes = 0;
 };

@@ -13,16 +13,15 @@
 //
 //   offset  size  field
 //   0       4     magic  "RPSN" (0x4E535052)
-//   4       4     format version (1 legacy, 2 current; see below)
+//   4       4     format version (3; older versions are rejected)
 //   8       4     payload kind (SnapshotKind)
 //   12      4     reserved (0)
 //   16      8     payload size in bytes
-//   24      4     CRC-32 — v1: over the payload bytes; v2: over the
-//                 4-byte aux-offset field, then the payload (the offset
-//                 steers both loaders, so header corruption must be
-//                 caught as corruption)
-//   28      4     aux-section offset into the payload (0 = none; v1 files
-//                 always 0) — header is 32 bytes, payload 8-aligned
+//   24      4     CRC-32 over the 4-byte aux-offset field, then the
+//                 payload (the offset steers both loaders, so header
+//                 corruption must be caught as corruption)
+//   28      4     aux-section offset into the payload (0 = none) — header
+//                 is 32 bytes, payload 8-aligned
 //   32      ...   payload
 //
 // Selector-stack payload: feature-schema metadata (count, static count,
@@ -34,19 +33,21 @@
 // deterministic from the models, so the rebuilt stack scores
 // bit-identically to the one saved.
 //
-// Version 2 appends an aux section ("RPFL") at the header's aux offset:
-// the compiled FlatEnsembleSet tables of both selectors with every slab
-// padded to 8-byte alignment relative to the payload start (the payload
-// itself starts at file offset 32, so payload alignment == file
-// alignment). This is what the zero-copy loader consumes: MmapArena (see
-// serving/mmap_arena.h) maps the file and rebuilds the stack with slab
-// views pointing straight into the mapping — no tree decode, no slab
-// memcpy. The heap decoder ignores the section entirely (it recompiles
-// from the models), so the two loaders can never disagree about the same
-// file's scores: both representations come from the same deterministic
-// compiler. QuickScorer leaf-value slabs are written with a 64-slot zero
-// guard tail so a hostile mask table cannot index past the slab (see
-// FlatEnsembleSet::FromParts).
+// A selector stack appends an aux section at the header's aux offset: per
+// selector (static, then dynamic) an "RPFL" block holding the feature
+// mode, model count, input width, pool, per-model training gains, and the
+// compiled FlatEnsembleSet::Parts — the merged QuickScorer tables, the
+// one compiled tree layout — with every slab padded to 8-byte alignment
+// relative to the payload start (the payload itself starts at file
+// offset 32, so payload alignment == file alignment). This is what the
+// zero-copy loader consumes: MmapArena (see serving/mmap_arena.h) maps
+// the file and rebuilds the stack with slab views pointing straight into
+// the mapping — no tree decode, no slab memcpy. The heap decoder ignores
+// the section entirely (it recompiles from the models), so the two
+// loaders can never disagree about the same file's scores: both
+// representations come from the same deterministic compiler. The
+// leaf-value slab is written with a 64-slot zero guard tail so a hostile
+// mask table cannot index past the slab (see FlatEnsembleSet::FromParts).
 //
 // Record-batch payload: feature/estimator arity header (validated against
 // the schema at load) followed by the records.
@@ -73,13 +74,13 @@
 namespace rpe {
 
 inline constexpr uint32_t kSnapshotMagic = 0x4E535052;  // "RPSN"
-/// Current write version. Version 1 (no aux section) is still readable;
-/// loaders fall back to the model-decode path for it.
-inline constexpr uint32_t kSnapshotVersion = 2;
-inline constexpr uint32_t kSnapshotVersionLegacy = 1;
-/// Magic opening the compiled-flat aux section of a v2 selector stack.
+/// The only version written and read. Version 3 replaced the three
+/// compiled layouts of v2's aux section with the merged QuickScorer
+/// tables alone; v1 and v2 files are rejected with a version error.
+inline constexpr uint32_t kSnapshotVersion = 3;
+/// Magic opening each selector's compiled-flat aux block.
 inline constexpr uint32_t kFlatSectionMagic = 0x4C465052;  // "RPFL"
-/// Zero doubles appended after each QuickScorer leaf-value slab so a
+/// Zero doubles appended after the QuickScorer leaf-value slab so a
 /// fully-cleared (hostile) leaf bitvector indexes the guard, not past the
 /// slab: countr_zero(0) == 64.
 inline constexpr size_t kQsLeafGuard = 64;
@@ -93,13 +94,13 @@ enum class SnapshotKind : uint32_t {
 struct SnapshotFrame {
   SnapshotKind kind = SnapshotKind::kSelectorStack;
   uint32_t version = 0;
-  /// Payload offset of the aux section (0 = absent / legacy).
+  /// Payload offset of the aux section (0 = absent).
   uint32_t aux_offset = 0;
   std::string_view payload;  ///< views into the caller's buffer
 };
 
-/// Verify magic/version/size/CRC and return the framed payload. Accepts
-/// versions 1 and 2; anything else is InvalidArgument.
+/// Verify magic/version/size/CRC and return the framed payload. Any
+/// version but kSnapshotVersion is InvalidArgument.
 Result<SnapshotFrame> UnframeSnapshot(std::string_view bytes);
 
 /// \brief The trained model pair the serving layer runs on: static-feature
@@ -142,11 +143,6 @@ namespace snapshot_internal {
 /// against this binary's FeatureSchema (the zero-copy loader runs this
 /// before trusting the aux section; the heap decoder does it inline).
 Status CheckSchemaPrefix(std::string_view payload);
-
-/// Encode with a version-1 header and no aux section — the layout pre-v2
-/// writers shipped. Kept so the legacy fallback path of the loaders stays
-/// covered (tests) and old readers can be fed by downgrade tooling.
-std::string EncodeSelectorStackLegacyV1(const SelectorStack& stack);
 
 }  // namespace snapshot_internal
 

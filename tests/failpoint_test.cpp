@@ -25,6 +25,7 @@ namespace rpe {
 namespace {
 
 using ::rpe::testing::RandomRecords;
+using ::rpe::testing::TempPath;
 
 /// Arm a failpoint for the scope of one test; the disarm is exception-
 /// and assertion-failure-safe.
@@ -39,10 +40,6 @@ class ScopedFailPoint {
  private:
   const std::string name_;
 };
-
-std::string TempPath(const std::string& name) {
-  return std::filesystem::temp_directory_path().string() + "/" + name;
-}
 
 // ---------------------------------------------------------------------------
 // Registry: trigger modes

@@ -1,10 +1,12 @@
-// FlatEnsemble tests: bit-exact equivalence with MartModel::Predict across
-// random models and inputs, the serialize → deserialize → flatten round
-// trip, batch and multi-model scoring, and thread-count invariance of
-// training (parallel training must serialize byte-identically).
+// FlatEnsembleSet tests: bit-exact equivalence with MartModel::Predict
+// across random models and inputs (one-model and multi-model sets), the
+// serialize → deserialize → compile round trip, batch scoring, non-finite
+// inputs, the leaf bound, and thread-count invariance of training
+// (parallel training must serialize byte-identically).
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -28,32 +30,39 @@ Dataset RandomDataset(size_t n, size_t nf, uint64_t seed) {
   return data;
 }
 
-TEST(FlatEnsembleTest, BitExactWithMartPredictAcrossRandomModels) {
+/// The prediction of a one-model set for x.
+double PredictOne(const FlatEnsembleSet& set, std::span<const double> x) {
+  std::vector<double> out(1);
+  set.PredictAll(x, out);
+  return out[0];
+}
+
+TEST(FlatEnsembleSetTest, BitExactWithMartPredictAcrossRandomModels) {
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     Dataset data = RandomDataset(800, 6, seed);
     MartParams params;
     params.num_trees = 30;
     params.subsample = seed % 2 == 0 ? 0.7 : 1.0;
     params.seed = seed;
-    MartModel model = MartModel::Train(data, params);
-    FlatEnsemble flat = FlatEnsemble::Compile(model);
-    ASSERT_EQ(flat.num_trees(), model.num_trees());
+    const std::vector<MartModel> models = {MartModel::Train(data, params)};
+    const FlatEnsembleSet set = FlatEnsembleSet::Compile(models);
+    ASSERT_EQ(set.num_models(), 1u);
 
     Rng rng(100 + seed);
     std::vector<double> x(6);
     for (int trial = 0; trial < 200; ++trial) {
       for (auto& v : x) v = rng.NextDouble() * 2.0 - 0.5;
-      EXPECT_EQ(model.Predict(x), flat.Predict(x))
+      EXPECT_EQ(models[0].Predict(x), PredictOne(set, x))
           << "seed " << seed << " trial " << trial;
     }
     for (size_t i = 0; i < data.num_examples(); ++i) {
-      ASSERT_EQ(model.Predict(data.ExampleSpan(i)),
-                flat.Predict(data.ExampleSpan(i)));
+      ASSERT_EQ(models[0].Predict(data.ExampleSpan(i)),
+                PredictOne(set, data.ExampleSpan(i)));
     }
   }
 }
 
-TEST(FlatEnsembleTest, SerializeDeserializeFlattenRoundTrip) {
+TEST(FlatEnsembleSetTest, SerializeDeserializeFlattenRoundTrip) {
   Dataset data = RandomDataset(1200, 5, 9);
   MartParams params;
   params.num_trees = 40;
@@ -61,35 +70,40 @@ TEST(FlatEnsembleTest, SerializeDeserializeFlattenRoundTrip) {
   auto restored = MartModel::Deserialize(model.Serialize());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
 
-  FlatEnsemble flat = FlatEnsemble::Compile(model);
-  FlatEnsemble flat_restored = FlatEnsemble::Compile(*restored);
-  ASSERT_EQ(flat.num_nodes(), flat_restored.num_nodes());
+  const FlatEnsembleSet set = FlatEnsembleSet::Compile({model});
+  const FlatEnsembleSet set_restored = FlatEnsembleSet::Compile({*restored});
+  ASSERT_EQ(set.parts().threshold.size(),
+            set_restored.parts().threshold.size());
   for (size_t i = 0; i < 300; ++i) {
     const auto x = data.ExampleSpan(i);
-    EXPECT_EQ(flat.Predict(x), flat_restored.Predict(x));
-    EXPECT_EQ(flat_restored.Predict(x), model.Predict(x));
+    EXPECT_EQ(PredictOne(set, x), PredictOne(set_restored, x));
+    EXPECT_EQ(PredictOne(set_restored, x), model.Predict(x));
   }
 }
 
-TEST(FlatEnsembleTest, PredictBatchMatchesScalarPredict) {
+TEST(FlatEnsembleSetTest, PredictBatchMatchesScalarPredict) {
   Dataset data = RandomDataset(700, 8, 17);
   MartParams params;
   params.num_trees = 25;
   MartModel model = MartModel::Train(data, params);
-  FlatEnsemble flat = FlatEnsemble::Compile(model);
+  const FlatEnsembleSet set = FlatEnsembleSet::Compile({model});
 
+  std::vector<const double*> rows(data.num_examples());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = data.ExampleSpan(i).data();
+  }
   std::vector<double> batch(data.num_examples());
-  flat.PredictBatch(data, batch);
+  set.PredictAllBatch(rows, batch);
   for (size_t i = 0; i < data.num_examples(); ++i) {
     ASSERT_EQ(batch[i], model.Predict(data.ExampleSpan(i)));
   }
 }
 
-TEST(FlatEnsembleTest, EmptyModelPredictsBias) {
+TEST(FlatEnsembleSetTest, EmptyModelPredictsBias) {
   Dataset empty(3);
-  MartModel model = MartModel::Train(empty, {});
-  FlatEnsemble flat = FlatEnsemble::Compile(model);
-  EXPECT_EQ(flat.Predict(std::vector<double>{1.0, 2.0, 3.0}), 0.0);
+  const FlatEnsembleSet set =
+      FlatEnsembleSet::Compile({MartModel::Train(empty, {})});
+  EXPECT_EQ(PredictOne(set, std::vector<double>{1.0, 2.0, 3.0}), 0.0);
 }
 
 TEST(FlatEnsembleSetTest, PredictAllMatchesPerModelPredict) {
@@ -122,37 +136,6 @@ TEST(FlatEnsembleSetTest, EmptySetOfModelsCompiles) {
   EXPECT_EQ(set.num_models(), 0u);
 }
 
-TEST(FlatEnsembleSetTest, WideTreesUseWalkFallbackBitExactly) {
-  // Trees over 64 leaves exceed the QuickScorer bitvector, so the set
-  // must score those models through the compiled walk path instead —
-  // still bit-exact, including the per-model tree-range offsets.
-  Dataset data = RandomDataset(4000, 6, 57);
-  std::vector<MartModel> models;
-  for (int m = 0; m < 3; ++m) {
-    MartParams params;
-    params.num_trees = 10;
-    params.tree.max_leaves = 100;
-    params.tree.min_examples_per_leaf = 2;
-    params.seed = static_cast<uint64_t>(m + 1);
-    models.push_back(MartModel::Train(data, params));
-  }
-  size_t wide_leaves = 0;
-  for (const auto& tree : models[0].trees()) {
-    wide_leaves = std::max(wide_leaves, tree.num_leaves());
-  }
-  ASSERT_GT(wide_leaves, 64u) << "fixture no longer exercises the fallback";
-
-  FlatEnsembleSet set = FlatEnsembleSet::Compile(models);
-  std::vector<double> out(models.size());
-  for (size_t i = 0; i < 200; ++i) {
-    const auto x = data.ExampleSpan(i);
-    set.PredictAll(x, out);
-    for (size_t m = 0; m < models.size(); ++m) {
-      ASSERT_EQ(out[m], models[m].Predict(x));
-    }
-  }
-}
-
 TEST(FlatEnsembleSetTest, NonFiniteFeaturesMatchTreeWalkExactly) {
   // The tree walk sends NaN right at every split (x <= t is false), -inf
   // always left, +inf always right; the compiled scorers must agree.
@@ -161,7 +144,6 @@ TEST(FlatEnsembleSetTest, NonFiniteFeaturesMatchTreeWalkExactly) {
   params.num_trees = 20;
   std::vector<MartModel> models = {MartModel::Train(data, params)};
   FlatEnsembleSet set = FlatEnsembleSet::Compile(models);
-  FlatEnsemble flat = FlatEnsemble::Compile(models[0]);
 
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -175,47 +157,25 @@ TEST(FlatEnsembleSetTest, NonFiniteFeaturesMatchTreeWalkExactly) {
   std::vector<double> out(1);
   for (const auto& x : probes) {
     const double expected = models[0].Predict(x);
-    EXPECT_EQ(flat.Predict(x), expected);
     set.PredictAll(x, out);
     EXPECT_EQ(out[0], expected);
   }
 }
 
-TEST(FlatEnsembleSetTest, MixedWideAndNarrowModelsStayBitExact) {
-  // A set mixing QuickScorer-usable models with a >64-leaf one cannot use
-  // the merged shared-feature loop; it must fall back to per-model scoring
-  // (narrow models via their own tables, the wide one via the walk) and
-  // still match MartModel::Predict bit for bit.
-  Dataset data = RandomDataset(4000, 6, 61);
-  std::vector<MartModel> models;
-  for (int m = 0; m < 3; ++m) {
-    MartParams params;
-    params.num_trees = 12;
-    if (m == 1) {
-      params.tree.max_leaves = 100;
-      params.tree.min_examples_per_leaf = 2;
-    }
-    params.seed = static_cast<uint64_t>(m + 1);
-    models.push_back(MartModel::Train(data, params));
-  }
-  size_t widest = 0;
-  for (const auto& tree : models[1].trees()) {
-    widest = std::max(widest, tree.num_leaves());
-  }
-  ASSERT_GT(widest, 64u) << "fixture no longer mixes usabilities";
-
-  FlatEnsembleSet set = FlatEnsembleSet::Compile(models);
-  std::vector<double> out(models.size());
-  for (size_t i = 0; i < 200; ++i) {
-    const auto x = data.ExampleSpan(i);
-    set.PredictAll(x, out);
-    size_t expected_best = 0;
-    for (size_t m = 0; m < models.size(); ++m) {
-      ASSERT_EQ(out[m], models[m].Predict(x));
-      if (out[m] < out[expected_best]) expected_best = m;
-    }
-    EXPECT_EQ(set.ArgMin(x), expected_best);
-  }
+TEST(FlatEnsembleSetDeathTest, TreesWiderThanTheLeafBoundDie) {
+  // One uint64 leaf bitvector per tree: a 65-leaf tree cannot compile.
+  // Persisted models are turned away by EstimatorSelector::FromModels
+  // before they get here; training wider trees is a programming error.
+  Dataset data = RandomDataset(4000, 6, 57);
+  MartParams params;
+  params.num_trees = 2;
+  params.tree.max_leaves = FlatEnsembleSet::kMaxLeaves + 1;
+  params.tree.min_examples_per_leaf = 2;
+  const std::vector<MartModel> models = {MartModel::Train(data, params)};
+  ASSERT_GT(models[0].trees()[0].num_leaves(),
+            static_cast<size_t>(FlatEnsembleSet::kMaxLeaves))
+      << "fixture no longer grows a tree past the bound";
+  EXPECT_DEATH(FlatEnsembleSet::Compile(models), "too wide");
 }
 
 // Training determinism: the fitted model (and therefore its serialized

@@ -1,14 +1,14 @@
 // Zero-copy snapshot arena tests: mmap-loaded stacks must score
-// bit-identically to heap-loaded ones, legacy/unaligned files must fall
-// back to the copy decoder (same scores, no aliasing), and every flavor
-// of damage — truncation, corruption, hostile compiled tables — must be
-// rejected with a Status, never UB.
+// bit-identically to heap-loaded ones, files with an unaligned aux
+// section must fall back to the copy decoder (same scores, no aliasing),
+// and every flavor of damage — truncation, corruption, hostile compiled
+// tables — must be rejected with a Status, never UB.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include "common/crc32.h"
 #include "mart/flat_ensemble.h"
@@ -20,10 +20,7 @@ namespace rpe {
 namespace {
 
 using ::rpe::testing::RandomRecords;
-
-std::string TempPath(const std::string& name) {
-  return std::filesystem::temp_directory_path().string() + "/" + name;
-}
+using ::rpe::testing::TempPath;
 
 void WriteBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -32,17 +29,12 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
 }
 
 /// Patch the header of raw snapshot bytes after a payload edit: payload
-/// size, CRC (v2 folds the aux-offset field in first), aux offset,
-/// version (header layout documented in snapshot.h).
-void ReframeHeader(std::string* bytes, uint32_t version,
-                   uint32_t aux_offset) {
+/// size, CRC (the aux-offset field folded in first), aux offset (header
+/// layout documented in snapshot.h).
+void ReframeHeader(std::string* bytes, uint32_t aux_offset) {
   const uint64_t payload_size = bytes->size() - 32;
-  uint32_t crc = 0;
-  if (version != kSnapshotVersionLegacy) {
-    crc = Crc32(&aux_offset, sizeof aux_offset);
-  }
+  uint32_t crc = Crc32(&aux_offset, sizeof aux_offset);
   crc = Crc32(bytes->data() + 32, payload_size, crc);
-  std::memcpy(bytes->data() + 4, &version, 4);
   std::memcpy(bytes->data() + 16, &payload_size, 8);
   std::memcpy(bytes->data() + 24, &crc, 4);
   std::memcpy(bytes->data() + 28, &aux_offset, 4);
@@ -142,19 +134,6 @@ TEST_F(MmapArenaTest, ArenaOutlivesLoaderScope) {
   ExpectScoresMatchOriginal(*stack);
 }
 
-TEST_F(MmapArenaTest, LegacyV1FileFallsBackToCopy) {
-  const std::string legacy_path = TempPath("rpe_mmap_arena_legacy.rpsn");
-  WriteBytes(legacy_path,
-             snapshot_internal::EncodeSelectorStackLegacyV1(*stack_));
-  auto loaded = LoadSelectorStackMmap(legacy_path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded->zero_copy);
-  // The copy path decodes real models.
-  EXPECT_TRUE(loaded->stack->static_selector.has_models());
-  ExpectScoresMatchOriginal(*loaded->stack);
-  std::remove(legacy_path.c_str());
-}
-
 TEST_F(MmapArenaTest, MisalignedAuxSectionFallsBackToCopy) {
   // Shift the aux section by 4 bytes: every 8-aligned slab is now
   // misaligned, so the zero-copy path must degrade to the copy decoder
@@ -163,7 +142,7 @@ TEST_F(MmapArenaTest, MisalignedAuxSectionFallsBackToCopy) {
   const uint32_t aux = ReadAuxOffset(bytes);
   ASSERT_GT(aux, 0u);
   bytes.insert(32 + aux, 4, '\0');
-  ReframeHeader(&bytes, kSnapshotVersion, aux + 4);
+  ReframeHeader(&bytes, aux + 4);
   const std::string path = TempPath("rpe_mmap_arena_misaligned.rpsn");
   WriteBytes(path, bytes);
 
@@ -204,7 +183,7 @@ TEST_F(MmapArenaTest, BogusAuxOffsetIsRejected) {
   const std::string path = TempPath("rpe_mmap_arena_auxoff.rpsn");
 
   // A flipped aux-offset byte without a matching CRC is corruption: the
-  // v2 CRC covers the offset field, so this must read as a CRC mismatch.
+  // CRC covers the offset field, so this must read as a CRC mismatch.
   {
     std::string bad = bytes;
     bad[28] ^= 0x01;
@@ -217,7 +196,7 @@ TEST_F(MmapArenaTest, BogusAuxOffsetIsRejected) {
   // Consistently re-framed but past the payload: bounded at unframe time.
   {
     std::string bad = bytes;
-    ReframeHeader(&bad, kSnapshotVersion, static_cast<uint32_t>(bad.size()));
+    ReframeHeader(&bad, static_cast<uint32_t>(bad.size()));
     WriteBytes(path, bad);
     EXPECT_FALSE(LoadSelectorStackMmap(path).ok());
   }
@@ -225,7 +204,7 @@ TEST_F(MmapArenaTest, BogusAuxOffsetIsRejected) {
   // not taken for an alignment fallback): the flat magic check trips.
   {
     std::string bad = bytes;
-    ReframeHeader(&bad, kSnapshotVersion, aux + 8);
+    ReframeHeader(&bad, aux + 8);
     WriteBytes(path, bad);
     auto loaded = LoadSelectorStackMmap(path);
     EXPECT_FALSE(loaded.ok());
@@ -258,23 +237,11 @@ TEST_F(MmapArenaTest, EncodingModelFreeStackDies) {
 class FromPartsTest : public ::testing::Test {
  protected:
   static FlatEnsembleSet::Parts CloneParts(const FlatEnsembleSet& set) {
-    FlatEnsembleSet::Parts parts;
-    parts.bias = set.bias_slab();
-    parts.tree_begin = set.tree_begin_slab();
-    parts.store = set.store();
-    parts.qs = set.quickscorers();
-    parts.merged = set.merged();
+    FlatEnsembleSet::Parts parts = set.parts();
     // FromParts expects persisted leaf tables, which carry the 64-slot
     // guard tail the snapshot writer appends.
-    for (auto& qs : parts.qs) {
-      if (qs.usable) {
-        qs.leaf_value.vec().resize(qs.leaf_value.size() + kQsLeafGuard, 0.0);
-      }
-    }
-    if (parts.merged.usable) {
-      parts.merged.leaf_value.vec().resize(
-          parts.merged.leaf_value.size() + kQsLeafGuard, 0.0);
-    }
+    parts.leaf_value.vec().resize(parts.leaf_value.size() + kQsLeafGuard,
+                                  0.0);
     return parts;
   }
 
@@ -323,63 +290,50 @@ TEST_F(FromPartsTest, IntactPartsRebuildAndScoreIdentically) {
 }
 
 TEST_F(FromPartsTest, HostileTablesAreRejected) {
-  {  // tree_begin not covering the store
+  {  // model tree ranges not covering the per-tree tables
     auto parts = CloneParts(*set_);
-    parts.tree_begin.vec().back() += 1;
+    parts.model_tree_begin.vec().back() += 1;
     EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
   }
-  {  // root past the node store
+  {  // model tree ranges running backwards
     auto parts = CloneParts(*set_);
-    parts.store.roots.vec()[0] =
-        static_cast<int32_t>(parts.store.topo.size());
-    EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
-  }
-  {  // interior node whose right child walks off the store
-    auto parts = CloneParts(*set_);
-    const int32_t huge_delta = static_cast<int32_t>(parts.store.topo.size());
-    parts.store.topo.vec()[0] = flat_internal::NodeStore::PackTopo(
-        0, huge_delta);
+    parts.model_tree_begin.vec()[1] = parts.model_tree_begin.back() + 1;
     EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
   }
   {  // split feature beyond the input width
     auto parts = CloneParts(*set_);
     EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), 1).ok());
   }
-  {  // leaf with a finite split could step past the last node
+  {  // entry pointing at a tree that does not exist
     auto parts = CloneParts(*set_);
-    for (size_t i = 0; i < parts.store.topo.size(); ++i) {
-      if ((parts.store.topo[i] >>
-           flat_internal::NodeStore::kFeatureBits) == 0) {
-        parts.store.split.vec()[i] = 0.5;
-        break;
-      }
+    ASSERT_FALSE(parts.entry_tree.empty());
+    parts.entry_tree.vec()[0] = static_cast<int32_t>(parts.init_mask.size());
+    EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
+  }
+  {  // feature entry ranges that do not cover the entry table
+    auto parts = CloneParts(*set_);
+    parts.feat_begin.vec().back() -= 1;
+    EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
+  }
+  {  // thresholds out of order break the early exit of both scoring paths
+    auto parts = CloneParts(*set_);
+    size_t k = parts.feat_begin[0];
+    while (k + 1 < parts.feat_begin[1] &&
+           parts.threshold[k] == parts.threshold[k + 1]) {
+      ++k;
     }
-    EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
-  }
-  {  // schedule that is not a per-block permutation
-    auto parts = CloneParts(*set_);
-    parts.store.sched.vec()[0] = parts.store.sched[1];
-    EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
-  }
-  {  // QuickScorer entry pointing at a tree that does not exist
-    auto parts = CloneParts(*set_);
-    ASSERT_TRUE(parts.qs[0].usable);
-    ASSERT_FALSE(parts.qs[0].entry_tree.empty());
-    parts.qs[0].entry_tree.vec()[0] = parts.qs[0].num_trees;
+    ASSERT_LT(k + 1, parts.feat_begin[1]) << "feature 0 has one threshold";
+    std::swap(parts.threshold.vec()[k], parts.threshold.vec()[k + 1]);
     EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
   }
   {  // leaf base past the (guarded) leaf table
     auto parts = CloneParts(*set_);
-    ASSERT_TRUE(parts.merged.usable);
-    parts.merged.leaf_base.vec()[0] =
-        static_cast<int32_t>(parts.merged.leaf_value.size());
+    parts.leaf_base.vec()[0] = static_cast<int32_t>(parts.leaf_value.size());
     EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
   }
-  {  // missing guard tail on the merged leaf table
+  {  // missing guard tail on the leaf table
     auto parts = CloneParts(*set_);
-    ASSERT_TRUE(parts.merged.usable);
-    parts.merged.leaf_value.vec().resize(parts.merged.leaf_value.size() -
-                                         kQsLeafGuard);
+    parts.leaf_value.vec().resize(parts.leaf_value.size() - kQsLeafGuard);
     EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
   }
 }

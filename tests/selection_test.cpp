@@ -312,5 +312,18 @@ TEST_F(SelectionTest, ParallelTrainingIsByteIdenticalToSequential) {
   }
 }
 
+TEST(SelectionDeathTest, TrainRejectsTreesWiderThanTheCompiledLayout) {
+  // Scoring compiles every tree into one uint64 leaf bitvector, so a
+  // selector cannot be trained with trees beyond that bound.
+  const auto records = ::rpe::testing::RandomRecords(20, 1);
+  MartParams params;
+  params.num_trees = 1;
+  params.tree.max_leaves = FlatEnsembleSet::kMaxLeaves + 1;
+  EXPECT_DEATH(EstimatorSelector::Train(records, PoolOriginalThree(),
+                                        /*use_dynamic_features=*/false,
+                                        params),
+               "max_leaves");
+}
+
 }  // namespace
 }  // namespace rpe

@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -32,6 +31,7 @@ namespace rpe {
 namespace {
 
 using ::rpe::testing::RandomRecords;
+using ::rpe::testing::TempPath;
 
 uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
@@ -44,10 +44,6 @@ size_t EnvCount(const char* name, size_t fallback) {
   const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') return fallback;
   return static_cast<size_t>(std::strtoull(env, nullptr, 10));
-}
-
-std::string TempPath(const std::string& name) {
-  return std::filesystem::temp_directory_path().string() + "/" + name;
 }
 
 void WriteBytes(const std::string& path, const std::string& bytes) {
@@ -65,7 +61,7 @@ bool BitEq(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-/// Recompute the v2 header CRC + payload-size fields after a payload or
+/// Recompute the header CRC + payload-size fields after a payload or
 /// aux-offset edit, so the mutation survives the checksum gate and
 /// exercises the parsers behind it (header layout in snapshot.h).
 void RepairCrc(std::string* bytes) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -19,6 +18,7 @@ namespace {
 
 using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::RandomRecords;
+using ::rpe::testing::TempPath;
 
 SelectorStack TrainSmallStack(const std::vector<PipelineRecord>& records,
                               uint64_t seed) {
@@ -144,12 +144,23 @@ TEST_F(SnapshotTest, BadMagicAndVersionAreRejected) {
     ASSERT_FALSE(decoded.ok());
     EXPECT_NE(decoded.status().message().find("magic"), std::string::npos);
   }
-  {
+  // A future version, and the retired v1 (no aux section) and v2 (three
+  // compiled layouts in the aux section): all refused by version, for
+  // record batches and selector stacks alike.
+  const std::string stack_bytes = EncodeSelectorStack(*stack_);
+  for (const char version : {char{99}, char{1}, char{2}}) {
     std::string bad = bytes;
-    bad[4] = 99;  // future format version
+    bad[4] = version;
     auto decoded = DecodeRecordBatch(bad);
     ASSERT_FALSE(decoded.ok());
-    EXPECT_NE(decoded.status().message().find("version"), std::string::npos);
+    EXPECT_NE(decoded.status().message().find("version"), std::string::npos)
+        << decoded.status().ToString();
+    std::string bad_stack = stack_bytes;
+    bad_stack[4] = version;
+    auto stack = DecodeSelectorStack(bad_stack);
+    ASSERT_FALSE(stack.ok());
+    EXPECT_NE(stack.status().message().find("version"), std::string::npos)
+        << stack.status().ToString();
   }
 }
 
@@ -216,6 +227,30 @@ TEST_F(SnapshotTest, HostileNodeGraphsAreRejected) {
   dead[3].value = 3.0;  // referenced by nothing
   EXPECT_FALSE(RegressionTree::FromNodes(dead).ok());
 
+  // A well-formed tree wider than the compiled layout's leaf bitvector
+  // (65 leaves: a left-leaning chain) is a valid tree, but a selector
+  // cannot score it; FromModels must refuse it as a persisted model.
+  std::vector<RegressionTree::Node> wide(2 * 65 - 1);
+  for (size_t i = 0; i + 1 < wide.size(); i += 2) {
+    wide[i].feature = 0;
+    wide[i].threshold = static_cast<double>(i);
+    wide[i].left = static_cast<int>(i) + 2;
+    wide[i].right = static_cast<int>(i) + 1;
+    wide[i + 1].value = static_cast<double>(i);  // leaf
+  }
+  wide.back().value = -1.0;  // the deepest left leaf
+  auto wide_tree = RegressionTree::FromNodes(wide);
+  ASSERT_TRUE(wide_tree.ok()) << wide_tree.status().ToString();
+  ASSERT_EQ(wide_tree->num_leaves(), 65u);
+  auto wide_selector = EstimatorSelector::FromModels(
+      {0}, /*use_dynamic_features=*/false,
+      {MartModel::FromParts(0.0, 0.1, {std::move(wide_tree).ValueOrDie()},
+                            {})});
+  ASSERT_FALSE(wide_selector.ok());
+  EXPECT_NE(wide_selector.status().message().find("leaves"),
+            std::string::npos)
+      << wide_selector.status().ToString();
+
   // The well-formed variant is accepted and predicts.
   std::vector<RegressionTree::Node> ok_nodes(3);
   ok_nodes[0].feature = 0;
@@ -252,9 +287,8 @@ TEST_F(SnapshotTest, OutOfRangeSplitFeatureIsRejected) {
 }
 
 TEST_F(SnapshotTest, FileRoundTrip) {
-  const std::string dir = std::filesystem::temp_directory_path().string();
-  const std::string record_path = dir + "/rpe_snapshot_test_records.rpsn";
-  const std::string stack_path = dir + "/rpe_snapshot_test_stack.rpsn";
+  const std::string record_path = TempPath("rpe_snapshot_test_records.rpsn");
+  const std::string stack_path = TempPath("rpe_snapshot_test_stack.rpsn");
 
   ASSERT_TRUE(SaveRecordBatch(*records_, record_path).ok());
   auto records = LoadRecordBatch(record_path);

@@ -1,9 +1,14 @@
 // Shared fixtures for the test suite: a tiny deterministic catalog with
-// known contents so operator results can be checked against brute force.
+// known contents so operator results can be checked against brute force,
+// random records, and per-process temp paths.
 #pragma once
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "common/logging.h"
 #include "selection/record.h"
@@ -11,6 +16,15 @@
 #include "storage/datagen.h"
 
 namespace rpe::testing {
+
+/// A path in the system temp directory that carries this process's pid:
+/// ctest runs every TEST as its own process, so suites that write and
+/// delete a fixed file name would otherwise race under `ctest -j`.
+inline std::string TempPath(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
+}
 
 /// Random PipelineRecords at full schema arity (features uniform in
 /// [0, 1), l1/l2 for every estimator kind): the fixture for

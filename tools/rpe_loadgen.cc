@@ -19,8 +19,10 @@
 //
 // One session = Open -> Advance(--steps) until done -> Close. Latency is
 // sampled per request (RTT of each frame exchange) and per session
-// (open-to-close). Percentiles are exact: every sample is kept and
-// sorted, no binning.
+// (open-to-close). In the open loop the session and its Open request are
+// timed from the scheduled arrival, not from the send, so time spent
+// queued behind a busy connection counts. Percentiles are exact: every
+// sample is kept and sorted, no binning.
 //
 // Online ingest (--ingest-rate R): a dedicated connection streams
 // synthetic PipelineRecords at R records/sec in --ingest-batch frames,
@@ -224,30 +226,35 @@ PipelineRecord SyntheticRecord(uint64_t* state, uint64_t seq) {
 }
 
 /// Run one full session on `client`; samples RTTs into `out`.
+/// `session_start` is when the session was meant to begin: its due time
+/// in the open loop, so a backlogged worker's queueing delay lands in the
+/// session time and the open request's latency instead of vanishing
+/// (coordinated omission); simply now in the closed loop.
 Status RunSession(WireClient* client, const Config& config,
-                  uint32_t run_index, WorkerResult* out) {
-  const auto session_start = Clock::now();
-
-  auto timed = [&](const std::string& request) -> Result<WireFrame> {
+                  uint32_t run_index, Clock::time_point session_start,
+                  WorkerResult* out) {
+  auto timed = [&](const std::string& request,
+                   Clock::time_point t0) -> Result<WireFrame> {
     // kStatusBusy is a retryable admission-control verdict, not an
     // error: retry the same request after exponential backoff so every
     // admitted session still completes (the shed counter still ticks
     // server-side — reconciled by --check).
     auto backoff = std::chrono::milliseconds(1);
     while (true) {
-      const auto t0 = Clock::now();
       RPE_ASSIGN_OR_RETURN(WireFrame frame, client->Call(request));
       out->request_ms.push_back(SecondsSince(t0) * 1e3);
       if (frame.status != kStatusBusy) return frame;
       ++out->busy;
       std::this_thread::sleep_for(backoff);
       backoff = std::min(backoff * 2, std::chrono::milliseconds(64));
+      t0 = Clock::now();
     }
   };
 
   OpenRequest open;
   open.run_index = run_index;
-  RPE_ASSIGN_OR_RETURN(WireFrame frame, timed(EncodeOpenRequest(open)));
+  RPE_ASSIGN_OR_RETURN(WireFrame frame,
+                       timed(EncodeOpenRequest(open), session_start));
   if (!frame.ok()) return frame.ToStatus();
   RPE_ASSIGN_OR_RETURN(OpenResponse opened,
                        DecodeOpenResponse(frame.payload));
@@ -257,7 +264,8 @@ Status RunSession(WireClient* client, const Config& config,
   advance.session_id = opened.session_id;
   advance.max_steps = config.steps;
   while (true) {
-    RPE_ASSIGN_OR_RETURN(frame, timed(EncodeAdvanceRequest(advance)));
+    RPE_ASSIGN_OR_RETURN(frame,
+                         timed(EncodeAdvanceRequest(advance), Clock::now()));
     if (!frame.ok()) return frame.ToStatus();
     RPE_ASSIGN_OR_RETURN(AdvanceResponse stepped,
                          DecodeAdvanceResponse(frame.payload));
@@ -268,7 +276,8 @@ Status RunSession(WireClient* client, const Config& config,
 
   CloseRequest close;
   close.session_id = opened.session_id;
-  RPE_ASSIGN_OR_RETURN(frame, timed(EncodeCloseRequest(close)));
+  RPE_ASSIGN_OR_RETURN(frame,
+                       timed(EncodeCloseRequest(close), Clock::now()));
   if (!frame.ok()) return frame.ToStatus();
   ++out->completed;
   out->session_ms.push_back(SecondsSince(session_start) * 1e3);
@@ -286,7 +295,8 @@ void ClosedLoopWorker(const Config& config, std::atomic<uint64_t>* next,
     if (slot >= config.sessions) break;
     const uint32_t run_index = static_cast<uint32_t>(
         config.runs > 0 ? slot % config.runs : slot);
-    const Status st = RunSession(&client, config, run_index, out);
+    const Status st =
+        RunSession(&client, config, run_index, Clock::now(), out);
     if (!st.ok()) {
       ++out->errors;
       out->fatal = st;  // blocking protocol: desync is not recoverable
@@ -311,7 +321,7 @@ void OpenLoopWorker(const Config& config, size_t id,
     std::this_thread::sleep_until(due);
     const uint32_t run_index =
         static_cast<uint32_t>(config.runs > 0 ? k % config.runs : k);
-    const Status st = RunSession(&client, config, run_index, out);
+    const Status st = RunSession(&client, config, run_index, due, out);
     if (!st.ok()) {
       ++out->errors;
       out->fatal = st;
