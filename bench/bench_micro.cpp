@@ -79,6 +79,58 @@ void BM_IndexNestedLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexNestedLoop);
 
+// Sort input shaped like a join's output: 8192 rows of 25 columns, a
+// 12-column dim prefix followed by a 13-column fact row whose foreign key
+// (column 13, the sort key) has 16 values. Rows that tie on the key then
+// tie on the whole dim prefix too, as in the workloads' join families.
+std::unique_ptr<Catalog>& JoinRowCatalog() {
+  static auto catalog = [] {
+    Rng rng(17);
+    std::vector<ColumnDef> columns;
+    for (int c = 0; c < 25; ++c) {
+      columns.push_back({"c" + std::to_string(c), 8});
+    }
+    auto table = std::make_unique<Table>("t_join", Schema(columns));
+    for (int64_t id = 0; id < 8192; ++id) {
+      const int64_t fk = rng.NextInt(0, 15);
+      Row row;
+      for (int64_t c = 0; c < 12; ++c) row.push_back(fk * 1000 + c);
+      row.push_back(id);
+      row.push_back(fk);
+      for (int c = 14; c < 25; ++c) row.push_back(rng.NextInt(0, 3));
+      RPE_CHECK_OK(table->Append(std::move(row)));
+    }
+    auto catalog = std::make_unique<Catalog>();
+    RPE_CHECK_OK(catalog->AddTable(std::move(table)));
+    return catalog;
+  }();
+  return catalog;
+}
+
+void BM_SortOp(benchmark::State& state) {
+  auto& catalog = JoinRowCatalog();
+  for (auto _ : state) {
+    auto root = MakeSort(MakeTableScan("t_join"), 13);
+    auto plan = FinalizePlan(std::move(root), *catalog);
+    auto run = ExecutePlan(**plan, *catalog);
+    benchmark::DoNotOptimize(run->rows_out);
+  }
+  state.SetItemsProcessed(state.iterations() * 8192);
+}
+BENCHMARK(BM_SortOp);
+
+void BM_BatchSortOp(benchmark::State& state) {
+  auto& catalog = JoinRowCatalog();
+  for (auto _ : state) {
+    auto root = MakeBatchSort(MakeTableScan("t_join"), 13, 512);
+    auto plan = FinalizePlan(std::move(root), *catalog);
+    auto run = ExecutePlan(**plan, *catalog);
+    benchmark::DoNotOptimize(run->rows_out);
+  }
+  state.SetItemsProcessed(state.iterations() * 8192);
+}
+BENCHMARK(BM_BatchSortOp);
+
 void BM_FeatureExtraction(benchmark::State& state) {
   auto& catalog = SharedCatalog();
   auto plan = FinalizePlan(

@@ -5,10 +5,12 @@
 #   2. every `rpe_cli <subcommand>` documented in docs/CLI.md exists in
 #      the built binary's --help output, and
 #   3. every code symbol docs/TRAINING.md, docs/SERVING.md,
-#      docs/ROBUSTNESS.md, docs/NETWORK.md and docs/CLI.md reference in
-#      backticks still exists somewhere under src/ (or bench/, tests/,
-#      tools/ for bench rows, test files and CLI flags) — the guides
-#      must not drift from the code.
+#      docs/ROBUSTNESS.md, docs/NETWORK.md, docs/BENCHMARKS.md,
+#      docs/CLI.md, docs/OBSERVABILITY.md, docs/ARCHITECTURE.md,
+#      docs/PAPER_MAP.md and README.md reference in backticks still
+#      exists somewhere under src/ (or bench/, tests/, tools/ for bench
+#      rows, test files and CLI flags) — the guides must not drift from
+#      the code.
 #
 # usage: scripts/check_docs.sh [path/to/rpe_cli]
 set -u
@@ -62,7 +64,8 @@ EOF
 # (`Class::Member`), CamelCase identifiers, or k-prefixed constants — must
 # appear somewhere in the sources. Lowercase/prose tokens are skipped.
 for guide in docs/TRAINING.md docs/SERVING.md docs/ROBUSTNESS.md \
-  docs/NETWORK.md docs/BENCHMARKS.md docs/CLI.md docs/OBSERVABILITY.md; do
+  docs/NETWORK.md docs/BENCHMARKS.md docs/CLI.md docs/OBSERVABILITY.md \
+  docs/ARCHITECTURE.md docs/PAPER_MAP.md README.md; do
   [ -f "$guide" ] || continue
   symbols=$(grep -oE '`[A-Za-z_][A-Za-z0-9_:()]*`' "$guide" |
     tr -d '\`' | sed 's/()$//' | sort -u)

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <numeric>
+#include <tuple>
+#include <utility>
 
 #include "common/logging.h"
 #include "exec/cost_model.h"
@@ -11,21 +15,122 @@ namespace rpe {
 
 namespace {
 
-Row ConcatRows(const Row& a, const Row& b) {
-  Row out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
+/// out = a ++ b, reusing out's storage. The reserve keeps a fresh buffer at
+/// exactly the output width: blocking parents move these rows into their
+/// buffers, so growth slack would be held per buffered row.
+void ConcatInto(const Row& a, const Row& b, Row* out) {
+  out->clear();
+  out->reserve(a.size() + b.size());
+  out->insert(out->end(), a.begin(), a.end());
+  out->insert(out->end(), b.begin(), b.end());
 }
 
-/// Deterministic sort comparator: primary key column, full-row tiebreak.
-struct RowKeyLess {
-  size_t key;
-  bool operator()(const Row& a, const Row& b) const {
-    if (a[key] != b[key]) return a[key] < b[key];
-    return a < b;
+/// Multikey quicksort of a row-id permutation over the sort tuple
+/// (row[key], row[0], ..., row[w-1]). Tuple position 0 is the key column,
+/// position p >= 1 is column p - 1; every position below `depth` is known
+/// to be equal across the ids being sorted.
+class RowSorter {
+ public:
+  RowSorter(const std::vector<Row>& rows, size_t key)
+      : rows_(rows), key_(key), width_(rows.empty() ? 0 : rows[0].size()) {}
+
+  void Sort(uint32_t* ids, size_t n) { Sort(ids, n, 0, DepthBudget(n)); }
+
+ private:
+  /// Below this many ids, insertion sort.
+  static constexpr size_t kCutoff = 16;
+
+  /// Partitioning passes a subarray may take at one tuple position before
+  /// it falls back to std::sort: 2 * floor(log2 n), as in introsort.
+  static int DepthBudget(size_t n) {
+    int log2 = 0;
+    while (n > 1) {
+      n >>= 1;
+      ++log2;
+    }
+    return 2 * log2;
   }
+
+  size_t Column(size_t depth) const { return depth == 0 ? key_ : depth - 1; }
+
+  /// The tuple order from position `depth` on.
+  bool Less(uint32_t a, uint32_t b, size_t depth) const {
+    const Row& ra = rows_[a];
+    const Row& rb = rows_[b];
+    if (depth == 0) {
+      if (ra[key_] != rb[key_]) return ra[key_] < rb[key_];
+      depth = 1;
+    }
+    for (size_t c = depth - 1; c < width_; ++c) {
+      if (ra[c] != rb[c]) return ra[c] < rb[c];
+    }
+    return false;
+  }
+
+  static int64_t Median3(int64_t a, int64_t b, int64_t c) {
+    return std::max(std::min(a, b), std::min(std::max(a, b), c));
+  }
+
+  void Sort(uint32_t* ids, size_t n, size_t depth, int budget) {
+    while (true) {
+      if (n < kCutoff) {
+        for (size_t i = 1; i < n; ++i) {
+          const uint32_t id = ids[i];
+          size_t j = i;
+          for (; j > 0 && Less(id, ids[j - 1], depth); --j) ids[j] = ids[j - 1];
+          ids[j] = id;
+        }
+        return;
+      }
+      if (depth > width_) return;  // every tuple position is equal
+      if (budget-- == 0) {
+        std::sort(ids, ids + n, [this, depth](uint32_t a, uint32_t b) {
+          return Less(a, b, depth);
+        });
+        return;
+      }
+      const size_t col = Column(depth);
+      const int64_t pivot = Median3(rows_[ids[0]][col], rows_[ids[n / 2]][col],
+                                    rows_[ids[n - 1]][col]);
+      // Three-way partition: [0, lt) < pivot, [lt, gt) == pivot, [gt, n) >.
+      size_t lt = 0, i = 0, gt = n;
+      while (i < gt) {
+        const int64_t v = rows_[ids[i]][col];
+        if (v < pivot) {
+          std::swap(ids[lt++], ids[i++]);
+        } else if (v > pivot) {
+          std::swap(ids[i], ids[--gt]);
+        } else {
+          ++i;
+        }
+      }
+      // Recurse into the two smaller parts and loop on the largest, so the
+      // stack stays O(log n) deep. The equal part moves to the next tuple
+      // position with a fresh budget.
+      const size_t n_lt = lt, n_eq = gt - lt, n_gt = n - gt;
+      if (n_eq >= n_lt && n_eq >= n_gt) {
+        Sort(ids, n_lt, depth, budget);
+        Sort(ids + gt, n_gt, depth, budget);
+        ids += lt;
+        n = n_eq;
+        ++depth;
+        budget = DepthBudget(n);
+      } else if (n_lt >= n_gt) {
+        Sort(ids + lt, n_eq, depth + 1, DepthBudget(n_eq));
+        Sort(ids + gt, n_gt, depth, budget);
+        n = n_lt;
+      } else {
+        Sort(ids, n_lt, depth, budget);
+        Sort(ids + lt, n_eq, depth + 1, DepthBudget(n_eq));
+        ids += gt;
+        n = n_gt;
+      }
+    }
+  }
+
+  const std::vector<Row>& rows_;
+  const size_t key_;
+  const size_t width_;
 };
 
 /// The single base table fed into an inner NLJ subtree (for the
@@ -36,6 +141,30 @@ const PlanNode* InnerLeaf(const PlanNode* node) {
 }
 
 }  // namespace
+
+void SortRows(std::vector<Row>* rows, size_t key) {
+  const size_t n = rows->size();
+  RPE_CHECK_LE(n, size_t{UINT32_MAX}) << "too many rows to sort";
+  if (n < 2) return;
+  std::vector<uint32_t> perm(n);
+  std::iota(perm.begin(), perm.end(), 0u);
+  RowSorter(*rows, key).Sort(perm.data(), n);
+  // perm[i] is the row that belongs at position i: follow each cycle once,
+  // moving rows (not copying them), and mark placed positions perm[j] = j.
+  for (size_t i = 0; i < n; ++i) {
+    if (perm[i] == i) continue;
+    Row first = std::move((*rows)[i]);
+    size_t j = i;
+    while (perm[j] != i) {
+      const size_t next = perm[j];
+      (*rows)[j] = std::move((*rows)[next]);
+      perm[j] = static_cast<uint32_t>(j);
+      j = next;
+    }
+    (*rows)[j] = std::move(first);
+    perm[j] = static_cast<uint32_t>(j);
+  }
+}
 
 Operator::Operator(const PlanNode* node, ExecContext* ctx)
     : node_(node),
@@ -125,22 +254,23 @@ bool IndexScanOp::NextImpl(Row* out) {
 // --- IndexSeekOp ------------------------------------------------------------
 
 IndexSeekOp::IndexSeekOp(const PlanNode* node, ExecContext* ctx)
-    : Operator(node, ctx) {}
-
-void IndexSeekOp::Open() {
+    : Operator(node, ctx) {
+  // Resolved once: a nested-loop join re-opens this operator per outer row.
   table_ = *ctx_->catalog().GetTable(node_->table);
   index_ = ctx_->catalog().GetIndex(node_->table, node_->index_column);
   RPE_CHECK(index_ != nullptr) << "missing index for IndexSeek";
-  matches_ = index_->SeekEqual(ctx_->correlated_key());
-  pos_ = 0;
+}
+
+void IndexSeekOp::Open() {
+  std::tie(pos_, end_) = index_->EqualRange(ctx_->correlated_key());
   ctx_->Charge(kSeekOpenCost);  // B-tree descent
 }
 
 void IndexSeekOp::ReOpen() { Open(); }
 
 bool IndexSeekOp::NextImpl(Row* out) {
-  if (pos_ >= matches_.size()) return false;
-  *out = table_->row(matches_[pos_++]);
+  if (pos_ == end_) return false;
+  *out = table_->row((pos_++)->second);
   ctx_->Charge(width_ * kReadCostPerByte);
   return true;
 }
@@ -167,12 +297,8 @@ void FilterOp::ReOpen() {
 void FilterOp::Close() { child_->Close(); }
 
 bool FilterOp::NextImpl(Row* out) {
-  Row row;
-  while (child_->Next(&row)) {
-    if (node_->pred.Eval(row, param_)) {
-      *out = std::move(row);
-      return true;
-    }
+  while (child_->Next(out)) {
+    if (node_->pred.Eval(*out, param_)) return true;
   }
   return false;
 }
@@ -204,7 +330,6 @@ void NestedLoopJoinOp::Close() {
 }
 
 bool NestedLoopJoinOp::NextImpl(Row* out) {
-  Row inner_row;
   while (true) {
     if (!have_outer_) {
       if (!outer_->Next(&outer_row_)) return false;
@@ -212,8 +337,8 @@ bool NestedLoopJoinOp::NextImpl(Row* out) {
       inner_->ReOpen();
       have_outer_ = true;
     }
-    if (inner_->Next(&inner_row)) {
-      *out = ConcatRows(outer_row_, inner_row);
+    if (inner_->Next(&inner_row_)) {
+      ConcatInto(outer_row_, inner_row_, out);
       return true;
     }
     have_outer_ = false;
@@ -280,7 +405,7 @@ void HashJoinOp::Close() {
 bool HashJoinOp::NextImpl(Row* out) {
   while (true) {
     if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      *out = ConcatRows((*matches_)[match_pos_++], probe_row_);
+      ConcatInto((*matches_)[match_pos_++], probe_row_, out);
       return true;
     }
     matches_ = nullptr;
@@ -329,7 +454,7 @@ bool MergeJoinOp::NextImpl(Row* out) {
   while (true) {
     if (emitting_) {
       if (group_pos_ < right_group_.size()) {
-        *out = ConcatRows(left_row_, right_group_[group_pos_++]);
+        ConcatInto(left_row_, right_group_[group_pos_++], out);
         return true;
       }
       emitting_ = false;
@@ -382,7 +507,7 @@ void SortOp::Open() {
       ctx_->ChargeWrite(node_->id, width_);
     }
   }
-  std::sort(rows_.begin(), rows_.end(), RowKeyLess{node_->sort_key});
+  SortRows(&rows_, node_->sort_key);
   // Comparison work, charged in chunks so the observation sampler can see
   // time passing during long sorts.
   const double n = static_cast<double>(rows_.size());
@@ -446,7 +571,7 @@ bool BatchSortOp::Refill() {
     ctx_->Charge(BuildCostPerRow(OpType::kBatchSort));
   }
   if (batch_.empty()) return false;
-  std::sort(batch_.begin(), batch_.end(), RowKeyLess{node_->sort_key});
+  SortRows(&batch_, node_->sort_key);
   return true;
 }
 
@@ -527,32 +652,29 @@ bool StreamAggregateOp::NextImpl(Row* out) {
     if (!child_->Next(&pending_)) return false;
     have_pending_ = true;
   }
-  auto group_of = [&](const Row& r) {
-    std::vector<int64_t> g(node_->group_cols.size());
-    for (size_t i = 0; i < node_->group_cols.size(); ++i) {
-      g[i] = r[node_->group_cols[i]];
+  const std::vector<size_t>& cols = node_->group_cols;
+  auto same_group = [&](const Row& r) {
+    for (size_t c : cols) {
+      if (r[c] != pending_[c]) return false;
     }
-    return g;
+    return true;
   };
-  const std::vector<int64_t> group = group_of(pending_);
   int64_t count = 1;
-  Row row;
-  while (child_->Next(&row)) {
+  bool more = false;
+  while ((more = child_->Next(&next_))) {
     ctx_->Charge(0.4);  // per-input aggregation work
-    if (group_of(row) == group) {
-      ++count;
-    } else {
-      pending_ = std::move(row);
-      Row g = group;
-      g.push_back(count);
-      *out = std::move(g);
-      return true;
-    }
+    if (!same_group(next_)) break;
+    ++count;
   }
-  have_pending_ = false;
-  Row g = group;
-  g.push_back(count);
-  *out = std::move(g);
+  out->clear();
+  out->reserve(cols.size() + 1);
+  for (size_t c : cols) out->push_back(pending_[c]);
+  out->push_back(count);
+  if (more) {
+    std::swap(pending_, next_);
+  } else {
+    have_pending_ = false;
+  }
   return true;
 }
 

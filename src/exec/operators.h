@@ -27,7 +27,8 @@ class Operator {
   /// Re-execute with the current correlated parameter (nested iteration).
   /// Default: Close + Open.
   virtual void ReOpen();
-  /// Produce the next row; false on end of stream. Wraps NextImpl with the
+  /// Produce the next row into `*out`, reusing its storage; false on end of
+  /// stream, after which `*out` is unspecified. Wraps NextImpl with the
   /// counter/clock bookkeeping.
   bool Next(Row* out);
   virtual void Close() {}
@@ -99,8 +100,7 @@ class IndexSeekOp : public Operator {
  private:
   const Table* table_ = nullptr;
   const SortedIndex* index_ = nullptr;
-  std::vector<RowId> matches_;
-  size_t pos_ = 0;
+  SortedIndex::EntryIter pos_, end_;  ///< the current key's matches
 };
 
 // ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ class NestedLoopJoinOp : public Operator {
  private:
   std::unique_ptr<Operator> outer_;
   std::unique_ptr<Operator> inner_;
-  Row outer_row_;
+  Row outer_row_, inner_row_;
   bool have_outer_ = false;
 };
 
@@ -192,6 +192,16 @@ class MergeJoinOp : public Operator {
 // ---------------------------------------------------------------------------
 // Sorts
 // ---------------------------------------------------------------------------
+
+/// Sort `rows` (all of one width) into the executor's sort order: by
+/// row[key], then by the full row, lexicographically. This is a total order
+/// on row contents, so the output depends only on the input multiset. A
+/// three-way multikey quicksort (Bentley & Sedgewick) over a row-id
+/// permutation, applied in place afterwards: rows that tie on a column are
+/// partitioned once and never compared on it again, which matters for join
+/// rows that share long equal prefixes. Falls back to std::sort when a
+/// partition runs out of its 2 log2 n depth budget.
+void SortRows(std::vector<Row>* rows, size_t key);
 
 /// Fully blocking sort; spills to (virtual) disk when the buffer exceeds the
 /// memory budget.
@@ -265,7 +275,7 @@ class StreamAggregateOp : public Operator {
 
  private:
   std::unique_ptr<Operator> child_;
-  Row pending_;
+  Row pending_, next_;
   bool have_pending_ = false;
 };
 

@@ -17,14 +17,11 @@ SortedIndex::SortedIndex(const Table* table, size_t column)
   std::sort(entries_.begin(), entries_.end());
 }
 
-std::vector<RowId> SortedIndex::SeekEqual(int64_t key) const {
-  auto [lo, hi] = std::equal_range(
+std::pair<SortedIndex::EntryIter, SortedIndex::EntryIter>
+SortedIndex::EqualRange(int64_t key) const {
+  return std::equal_range(
       entries_.begin(), entries_.end(), std::make_pair(key, RowId{0}),
       [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<RowId> out;
-  out.reserve(static_cast<size_t>(hi - lo));
-  for (auto it = lo; it != hi; ++it) out.push_back(it->second);
-  return out;
 }
 
 std::vector<RowId> SortedIndex::SeekRange(int64_t lo_key, int64_t hi_key) const {
@@ -39,9 +36,7 @@ std::vector<RowId> SortedIndex::SeekRange(int64_t lo_key, int64_t hi_key) const 
 }
 
 uint64_t SortedIndex::CountEqual(int64_t key) const {
-  auto [lo, hi] = std::equal_range(
-      entries_.begin(), entries_.end(), std::make_pair(key, RowId{0}),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
+  auto [lo, hi] = EqualRange(key);
   return static_cast<uint64_t>(hi - lo);
 }
 

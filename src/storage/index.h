@@ -23,8 +23,12 @@ class SortedIndex {
   size_t column() const { return column_; }
   uint64_t num_entries() const { return entries_.size(); }
 
-  /// Row ids whose key equals `key` (seek). O(log n + matches).
-  std::vector<RowId> SeekEqual(int64_t key) const;
+  using Entry = std::pair<int64_t, RowId>;
+  using EntryIter = std::vector<Entry>::const_iterator;
+
+  /// The entries whose key equals `key` (seek), as a [first, last) range
+  /// of entries() in row-id order. O(log n); nothing is materialized.
+  std::pair<EntryIter, EntryIter> EqualRange(int64_t key) const;
 
   /// Row ids with key in [lo, hi], in key order.
   std::vector<RowId> SeekRange(int64_t lo, int64_t hi) const;
@@ -34,14 +38,12 @@ class SortedIndex {
   uint64_t CountRange(int64_t lo, int64_t hi) const;
 
   /// All row ids in key order (ordered index scan).
-  const std::vector<std::pair<int64_t, RowId>>& entries() const {
-    return entries_;
-  }
+  const std::vector<Entry>& entries() const { return entries_; }
 
  private:
   const Table* table_;
   size_t column_;
-  std::vector<std::pair<int64_t, RowId>> entries_;
+  std::vector<Entry> entries_;
 };
 
 }  // namespace rpe

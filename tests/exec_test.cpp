@@ -3,17 +3,21 @@
 // observation stream.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 
 #include "exec/executor.h"
+#include "exec/operators.h"
 #include "exec/plan_resolver.h"
 #include "tests/test_util.h"
 
 namespace rpe {
 namespace {
 
+using ::rpe::testing::BatchSortedByKey;
 using ::rpe::testing::MakeSmallCatalog;
+using ::rpe::testing::SortedByKey;
 
 class ExecTest : public ::testing::Test {
  protected:
@@ -26,6 +30,21 @@ class ExecTest : public ::testing::Test {
     auto result = ExecutePlan(*plan_, *catalog_);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result).ValueOrDie();
+  }
+
+  /// The rows the root operator emits, pulled through Open/Next/Close.
+  std::vector<Row> Pull(std::unique_ptr<PlanNode> root) {
+    auto plan = FinalizePlan(std::move(root), *catalog_);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    plan_ = std::move(plan).ValueOrDie();
+    ExecContext ctx(plan_.get(), catalog_.get(), ExecOptions{});
+    auto op = Operator::Create(plan_->root(), &ctx);
+    op->Open();
+    std::vector<Row> rows;
+    Row row;
+    while (op->Next(&row)) rows.push_back(row);
+    op->Close();
+    return rows;
   }
 
   const Table& fact() { return **catalog_->GetTable("t_fact"); }
@@ -134,11 +153,79 @@ TEST_F(ExecTest, MergeJoinManyToMany) {
 TEST_F(ExecTest, SortIsOrderedAndComplete) {
   auto run = Run(MakeSort(MakeTableScan("t_fact"), 2));
   EXPECT_EQ(run.rows_out, 1000u);
+  EXPECT_EQ(Pull(MakeSort(MakeTableScan("t_fact"), 2)),
+            SortedByKey(fact().rows(), 2));
+  // Join rows: long runs that tie on the key and on the dim prefix.
+  auto join = [] {
+    return MakeHashJoin(MakeTableScan("t_dim"), MakeTableScan("t_fact"), 0, 1);
+  };
+  EXPECT_EQ(Pull(MakeSort(join(), 1)), SortedByKey(Pull(join()), 1));
 }
 
 TEST_F(ExecTest, BatchSortPreservesMultiset) {
   auto run = Run(MakeBatchSort(MakeTableScan("t_fact"), 1, 64));
   EXPECT_EQ(run.rows_out, 1000u);
+  EXPECT_EQ(Pull(MakeBatchSort(MakeTableScan("t_fact"), 1, 64)),
+            BatchSortedByKey(fact().rows(), 1, 64));
+}
+
+TEST_F(ExecTest, BatchSortGroupsStraddleBatches) {
+  // Runs of 5 equal keys, in descending key order so every batch is
+  // reordered, against batch sizes that cut the runs in the middle.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Rng rng(11);
+  Schema schema({{"k", 8}, {"a", 8}, {"b", 8}});
+  auto table = std::make_unique<Table>("t", schema);
+  for (int64_t i = 0; i < 103; ++i) {
+    Row row = {(103 - i) / 5, rng.NextInt(-2, 2), kMax - i % 3};
+    ASSERT_TRUE(table->Append(row).ok());
+  }
+  catalog_ = std::make_unique<Catalog>();
+  ASSERT_TRUE(catalog_->AddTable(std::move(table)).ok());
+  const std::vector<Row> input = (*catalog_->GetTable("t"))->rows();
+  for (size_t batch_size : {1u, 3u, 7u, 16u, 102u, 103u, 500u}) {
+    auto root = MakeBatchSort(MakeTableScan("t"), 0, batch_size);
+    EXPECT_EQ(Pull(std::move(root)), BatchSortedByKey(input, 0, batch_size))
+        << "batch_size=" << batch_size;
+  }
+}
+
+TEST_F(ExecTest, IndexSeekReopensWithChangingKeys) {
+  // The inner side of an index nested-loop join: re-opened per outer row
+  // with a new correlated key, including keys with no match at all.
+  auto plan = FinalizePlan(MakeIndexSeek("t_fact", "f_fk"), *catalog_);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ExecContext ctx(plan->get(), catalog_.get(), ExecOptions{});
+  auto seek = Operator::Create((*plan)->root(), &ctx);
+  auto matches = [&](int64_t key) {
+    std::vector<Row> expected;  // index order: key, then row id
+    for (const Row& r : fact().rows()) {
+      if (r[1] == key) expected.push_back(r);
+    }
+    return expected;
+  };
+  double emitted = 0.0;
+  Row row;
+  const int64_t keys[] = {3, 3, -1, 0, 1000, 99, 7};
+  for (int64_t key : keys) {
+    ctx.SetCorrelatedKey(key);
+    seek->ReOpen();
+    std::vector<Row> got;
+    while (seek->Next(&row)) got.push_back(row);
+    EXPECT_EQ(got, matches(key)) << "key " << key;
+    emitted += static_cast<double>(got.size());
+    EXPECT_EQ(ctx.counters(0).k, emitted) << "key " << key;
+  }
+  // A re-open abandons a partly drained key.
+  ctx.SetCorrelatedKey(0);
+  seek->ReOpen();
+  ASSERT_TRUE(seek->Next(&row));
+  ctx.SetCorrelatedKey(7);
+  seek->ReOpen();
+  std::vector<Row> got;
+  while (seek->Next(&row)) got.push_back(row);
+  EXPECT_EQ(got, matches(7));
+  seek->Close();
 }
 
 TEST_F(ExecTest, HashAggregateCountsGroups) {

@@ -62,16 +62,27 @@ class IndexTest : public ::testing::Test {
   std::unique_ptr<SortedIndex> index_;
 };
 
-TEST_F(IndexTest, SeekEqualFindsAllDuplicates) {
-  EXPECT_EQ(index_->SeekEqual(5).size(), 3u);
-  EXPECT_EQ(index_->SeekEqual(3).size(), 2u);
-  EXPECT_EQ(index_->SeekEqual(1).size(), 1u);
-  EXPECT_TRUE(index_->SeekEqual(7).empty());
+TEST_F(IndexTest, EqualRangeFindsAllDuplicates) {
+  auto row_ids = [&](int64_t key) {
+    std::vector<RowId> ids;
+    auto [lo, hi] = index_->EqualRange(key);
+    for (auto it = lo; it != hi; ++it) {
+      EXPECT_EQ(it->first, key);
+      ids.push_back(it->second);
+    }
+    return ids;
+  };
+  EXPECT_EQ(row_ids(5), (std::vector<RowId>{0, 2, 5}));
+  EXPECT_EQ(row_ids(3), (std::vector<RowId>{1, 4}));
+  EXPECT_EQ(row_ids(1), (std::vector<RowId>{3}));
+  EXPECT_TRUE(row_ids(7).empty());
+  EXPECT_TRUE(row_ids(-1).empty());
 }
 
 TEST_F(IndexTest, CountMatchesSeek) {
   for (int64_t k = 0; k <= 6; ++k) {
-    EXPECT_EQ(index_->CountEqual(k), index_->SeekEqual(k).size());
+    auto [lo, hi] = index_->EqualRange(k);
+    EXPECT_EQ(index_->CountEqual(k), static_cast<uint64_t>(hi - lo));
   }
 }
 

@@ -1,10 +1,12 @@
 // Shared fixtures for the test suite: a tiny deterministic catalog with
 // known contents so operator results can be checked against brute force,
-// random records, and per-process temp paths.
+// the executor's reference sort order, random records, and per-process
+// temp paths.
 #pragma once
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <set>
@@ -24,6 +26,32 @@ inline std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() /
           (std::to_string(::getpid()) + "_" + name))
       .string();
+}
+
+/// `rows` in the executor's sort order (key column, then the full row),
+/// stated independently of SortRows: the reference the sort tests compare
+/// against.
+inline std::vector<Row> SortedByKey(std::vector<Row> rows, size_t key) {
+  std::sort(rows.begin(), rows.end(), [key](const Row& a, const Row& b) {
+    if (a[key] != b[key]) return a[key] < b[key];
+    return a < b;
+  });
+  return rows;
+}
+
+/// What a BatchSort emits for `input`: each run of `batch_size` input rows
+/// sorted on its own, the runs in input order.
+inline std::vector<Row> BatchSortedByKey(const std::vector<Row>& input,
+                                         size_t key, size_t batch_size) {
+  std::vector<Row> out;
+  for (size_t lo = 0; lo < input.size(); lo += batch_size) {
+    const size_t hi = std::min(input.size(), lo + batch_size);
+    std::vector<Row> batch(input.begin() + static_cast<ptrdiff_t>(lo),
+                           input.begin() + static_cast<ptrdiff_t>(hi));
+    batch = SortedByKey(std::move(batch), key);
+    out.insert(out.end(), batch.begin(), batch.end());
+  }
+  return out;
 }
 
 /// Random PipelineRecords at full schema arity (features uniform in
