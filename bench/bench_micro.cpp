@@ -3,10 +3,9 @@
 // one-pass vs. rescan, sibling subtraction, tree fit) and prediction,
 // Zipf sampling, histogram construction, and the serving layer (binary
 // snapshots vs. the CSV/text persistence path, zero-copy mmap model load
-// vs. the read+decode path, concurrent MonitorService replay, sharded
-// tick routing, ingest push throughput and TrainerLoop retrain+publish
-// latency) — the building blocks whose cost determines the (low)
-// overhead the paper requires of progress estimation.
+// vs. the read+decode path, ingest push throughput and TrainerLoop
+// retrain+publish latency) — the building blocks whose cost determines
+// the (low) overhead the paper requires of progress estimation.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -28,7 +27,6 @@
 #include "selection/features.h"
 #include "serving/mmap_arena.h"
 #include "serving/monitor_service.h"
-#include "serving/shard_router.h"
 #include "serving/snapshot.h"
 #include "serving/trainer_loop.h"
 #include "tests/test_util.h"
@@ -478,9 +476,9 @@ void BM_HistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRecord);
 
-// Serving-layer fixture: a synthetic record set at full schema arity, a
-// trained selector stack, and a few executed runs to replay — the
-// ingredients of the snapshot and MonitorService benchmarks.
+// Serving-layer fixture: a synthetic record set at full schema arity and
+// a trained selector stack — the ingredients of the snapshot and
+// online-learning benchmarks.
 struct ServingFixture {
   ServingFixture() : records(rpe::testing::RandomRecords(200, 17)) {
     records_csv = RecordsToCsv(records);
@@ -504,22 +502,6 @@ struct ServingFixture {
         model_texts.push_back(m.Serialize());
       }
     }
-
-    auto& catalog = SharedCatalog();
-    auto add_run = [&](std::unique_ptr<PlanNode> root) {
-      auto plan = FinalizePlan(std::move(root), *catalog);
-      auto run = ExecutePlan(**plan, *catalog);
-      plans.push_back(std::move(plan).ValueOrDie());
-      runs.push_back(std::move(run).ValueOrDie());
-    };
-    add_run(MakeTableScan("t_fact"));
-    add_run(MakeHashJoin(MakeTableScan("t_dim"), MakeTableScan("t_fact"), 0,
-                         1));
-    add_run(MakeNestedLoopJoin(MakeTableScan("t_fact"),
-                               MakeIndexSeek("t_dim", "d_id"), 1));
-    for (size_t s = 0; s < 64; ++s) {
-      session_runs.push_back(&runs[s % runs.size()]);
-    }
   }
 
   ~ServingFixture() { std::remove(stack_path.c_str()); }
@@ -531,9 +513,6 @@ struct ServingFixture {
   std::string stack_snapshot;
   std::string stack_path;
   std::vector<std::string> model_texts;
-  std::vector<std::unique_ptr<PhysicalPlan>> plans;
-  std::vector<QueryRunResult> runs;
-  std::vector<const QueryRunResult*> session_runs;
 };
 
 ServingFixture& Serving() {
@@ -635,60 +614,6 @@ void BM_SnapshotMmapLoad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SnapshotMmapLoad);
-
-// Sharded session routing: 256 open sessions driven to completion with
-// budgeted ticks across 1/4/16 shards. Session setup (open/decide) is
-// excluded; items = observations scored per full drain, so the rate is
-// the tick-path serving throughput at each shard count.
-void BM_ShardedTick(benchmark::State& state) {
-  auto& fx = Serving();
-  const size_t num_shards = static_cast<size_t>(state.range(0));
-  constexpr size_t kSessions = 256;
-  int64_t observations = 0;
-  for (size_t s = 0; s < kSessions; ++s) {
-    observations += static_cast<int64_t>(
-        fx.session_runs[s % fx.session_runs.size()]->observations.size());
-  }
-  for (auto _ : state) {
-    state.PauseTiming();
-    ShardedMonitorService::Options options;
-    options.num_shards = num_shards;
-    auto service =
-        std::make_unique<ShardedMonitorService>(fx.stack, options);
-    for (size_t s = 0; s < kSessions; ++s) {
-      RPE_CHECK(
-          service->OpenSession(fx.session_runs[s % fx.session_runs.size()])
-              .ok());
-    }
-    state.ResumeTiming();
-    while (service->Tick(/*max_steps=*/64) > 0) {
-    }
-    benchmark::DoNotOptimize(service->num_open_sessions());
-    state.PauseTiming();
-    service.reset();
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * observations);
-}
-BENCHMARK(BM_ShardedTick)->Arg(1)->Arg(4)->Arg(16);
-
-// Concurrent monitor serving: 64 sessions replayed through the service
-// (sharded on the global pool); items = observations scored.
-void BM_MonitorServiceReplayAll64(benchmark::State& state) {
-  auto& fx = Serving();
-  MonitorService service(fx.stack);
-  int64_t observations = 0;
-  for (auto _ : state) {
-    const auto series = service.ReplayAll(fx.session_runs);
-    observations = 0;
-    for (const auto& s : series) {
-      observations += static_cast<int64_t>(s.size());
-    }
-    benchmark::DoNotOptimize(series.data());
-  }
-  state.SetItemsProcessed(state.iterations() * observations);
-}
-BENCHMARK(BM_MonitorServiceReplayAll64);
 
 // Online-learning loop: producer-side ingest throughput (Push with a
 // consumer keeping the queue drained) — the per-record overhead a running

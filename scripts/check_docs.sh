@@ -2,8 +2,10 @@
 # Docs gate (run by the CI docs job, usable locally):
 #   1. every relative markdown link in docs/*.md and README.md resolves
 #      to an existing file,
-#   2. every `rpe_cli <subcommand>` documented in docs/CLI.md exists in
-#      the built binary's --help output, and
+#   2. every `rpe_cli <subcommand>` named in README.md, docs/*.md or the
+#      verify skill (.claude/skills/verify/SKILL.md) exists in the built
+#      binary's --help output — a retired command left in any guide
+#      fails — and
 #   3. every code symbol docs/TRAINING.md, docs/SERVING.md,
 #      docs/ROBUSTNESS.md, docs/NETWORK.md, docs/BENCHMARKS.md,
 #      docs/CLI.md, docs/OBSERVABILITY.md, docs/ARCHITECTURE.md,
@@ -42,21 +44,27 @@ if [ ! -x "$RPE_CLI" ]; then
   exit 1
 fi
 help_output=$("$RPE_CLI" --help)
-commands=$(grep -oE '^### `rpe_cli [a-z-]+`' docs/CLI.md |
-  sed -E 's/^### `rpe_cli ([a-z-]+)`$/\1/')
-if [ -z "$commands" ]; then
+if ! grep -qE '^### `rpe_cli [a-z-]+`' docs/CLI.md; then
   # Guard against the gate passing vacuously after a heading reformat.
   echo "NO SUBCOMMANDS EXTRACTED from docs/CLI.md (expected '### \`rpe_cli <cmd>\`' headings)"
   failures=$((failures + 1))
 fi
-while IFS= read -r cmd; do
-  [ -z "$cmd" ] && continue
+# "<file>:<subcommand>" for every mention; a page title ("# rpe_cli
+# reference") is prose, not a command.
+mentions=$(for doc in README.md docs/*.md .claude/skills/verify/SKILL.md; do
+  grep -vE '^# ' "$doc" | grep -oE 'rpe_cli [a-z][a-z-]*' |
+    sed -E "s|^rpe_cli |$doc:|"
+done | sort -u)
+while IFS= read -r mention; do
+  [ -z "$mention" ] && continue
+  doc="${mention%%:*}"
+  cmd="${mention#*:}"
   if ! printf '%s\n' "$help_output" | grep -qE "^  $cmd( |\$)"; then
-    echo "UNDOCUMENTED-IN-BINARY: docs/CLI.md names subcommand '$cmd' but rpe_cli --help does not list it"
+    echo "UNKNOWN SUBCOMMAND: $doc names 'rpe_cli $cmd' but rpe_cli --help does not list it"
     failures=$((failures + 1))
   fi
 done <<EOF
-$commands
+$mentions
 EOF
 
 # --- 3. guide symbols still exist ------------------------------------------

@@ -1,21 +1,31 @@
 #!/usr/bin/env bash
 # CLI exit-code contract tests (wired into ctest as `cli_exit_codes`):
 #
-#   1. snapshot-load / serve-replay --mmap / serve-online --mmap on a
-#      corrupt, truncated, or missing .rpsn must exit nonzero with the
-#      Status on stderr — and must fail fast, before any workload runs.
-#   2. serve-online with the snapshot-write failpoint armed at 100% via
-#      RPE_FAILPOINTS must still exit zero, keep serving on the published
-#      generations, and report exact nonzero failure/retry counts.
-#   3. A malformed RPE_FAILPOINTS spec is diagnosed, ignored, and must
+#   1. snapshot-load / serve-tcp (--mmap) on a corrupt, truncated, or
+#      missing .rpsn must exit nonzero with the Status on stderr — and
+#      must fail fast, before any workload runs.
+#   2. Malformed or out-of-range numeric flags exit 2 with
+#      "invalid --<flag>", before any workload runs.
+#   3. serve-tcp with the snapshot-write failpoint armed at 100% via
+#      RPE_FAILPOINTS, driven by rpe_loadgen until a retrain is
+#      published, must still drain to exit zero, keep serving on the
+#      published generations, and report exact nonzero failure/retry
+#      counts.
+#   4. A malformed RPE_FAILPOINTS spec is diagnosed, ignored, and must
 #      not turn into silent fault injection.
 #
-# Usage: cli_exit_test.sh <path-to-rpe_cli>
+# Usage: cli_exit_test.sh <path-to-rpe_cli> <path-to-rpe_loadgen>
 set -u
 
-CLI="${1:?usage: cli_exit_test.sh <path-to-rpe_cli>}"
+CLI="${1:?usage: cli_exit_test.sh <rpe_cli> <rpe_loadgen>}"
+LOADGEN="${2:?usage: cli_exit_test.sh <rpe_cli> <rpe_loadgen>}"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/rpe_cli_exit.XXXXXX")"
-trap 'rm -rf "$WORK"' EXIT
+SRV_PID=""
+cleanup() {
+  [ -n "$SRV_PID" ] && kill -9 "$SRV_PID" 2>/dev/null
+  rm -rf "$WORK"
+}
+trap cleanup EXIT
 
 fails=0
 note() { printf '%s\n' "$*"; }
@@ -47,48 +57,86 @@ for f in "$CORRUPT" "$TRUNC"; do
 done
 expect_err "IOError" "$CLI" snapshot-load --in "$MISSING"
 
-# The serve commands must reject a bad --model up front (fail-fast: these
-# return within the preload, so a tiny workload config keeps them honest).
-# serve-tcp is included: a corrupt model must fail before the socket ever
-# binds, so nothing is listening when the Status lands on stderr.
-for cmd in serve-replay serve-online serve-tcp; do
-  expect_err "InvalidArgument" \
-    "$CLI" "$cmd" --kind tpch --queries 2 --scale 1 --model "$CORRUPT" --mmap
-  expect_err "IOError" \
-    "$CLI" "$cmd" --kind tpch --queries 2 --scale 1 --model "$MISSING" --mmap
-  expect_err "InvalidArgument" \
-    "$CLI" "$cmd" --kind tpch --queries 2 --scale 1 --model "$CORRUPT"
-done
+# serve-tcp must reject a bad --model up front (fail-fast: it returns
+# within the preload, so a tiny workload config keeps it honest): a
+# corrupt model must fail before the socket ever binds, so nothing is
+# listening when the Status lands on stderr.
+expect_err "InvalidArgument" \
+  "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --model "$CORRUPT" --mmap
+expect_err "IOError" \
+  "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --model "$MISSING" --mmap
+expect_err "InvalidArgument" \
+  "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --model "$CORRUPT"
 
 # --mmap without --model is a flag error (exit 2), also pre-workload.
-for cmd in serve-replay serve-tcp; do
-  "$CLI" "$cmd" --kind tpch --queries 2 --scale 1 --mmap \
-    >/dev/null 2>&1
-  [ $? -eq 2 ] || fail "$cmd: --mmap without --model did not exit 2"
+"$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --mmap >/dev/null 2>&1
+[ $? -eq 2 ] || fail "serve-tcp: --mmap without --model did not exit 2"
+
+# Flag contract: malformed or out-of-range values exit 2 with
+# "invalid --<flag>" and a pointer at the docs, before any workload work
+# starts (a typo'd flag must not cost a workload run).
+# expect_usage <flag> <cmd...>: exit 2 + "invalid --<flag>" on stderr.
+# The timeout turns an accepted serve-tcp flag (it would serve until
+# SIGTERM) into a failure instead of a hang.
+expect_usage() {
+  local flag="$1"; shift
+  local rc=0
+  timeout 60 "$@" >"$WORK/stdout.txt" 2>"$WORK/stderr.txt" || rc=$?
+  [ "$rc" -eq 2 ] || fail "exit $rc (want 2) from: $*"
+  grep -q "invalid --$flag" "$WORK/stderr.txt" \
+    || fail "stderr of '$*' lacks 'invalid --$flag': $(cat "$WORK/stderr.txt")"
+}
+SERVE=("$CLI" serve-tcp --kind tpch --queries 2 --scale 1)
+expect_usage port "${SERVE[@]}" --port 70000
+expect_usage port "${SERVE[@]}" --port banana
+expect_usage io-threads "${SERVE[@]}" --io-threads 9999
+expect_usage shards "${SERVE[@]}" --shards 0
+expect_usage trees "${SERVE[@]}" --trees banana
+expect_usage trees "${SERVE[@]}" --trees -3
+expect_usage scale "$CLI" run --queries 2 --scale banana --out "$WORK/r.csv"
+expect_usage threads "$CLI" run --queries 2 --scale 1 --threads banana \
+  --out "$WORK/r.csv"
+expect_usage queries "$CLI" run --queries -1 --scale 1 --out "$WORK/r.csv"
+expect_usage seed "$CLI" run --queries 2 --scale 1 --seed 1x \
+  --out "$WORK/r.csv"
+expect_usage zipf "$CLI" run --queries 2 --scale 1 --zipf inf \
+  --out "$WORK/r.csv"
+expect_usage trees "$CLI" train --records "$MISSING" --trees 2.5
+[ -e "$WORK/r.csv" ] && fail "a rejected run still wrote its records"
+
+# --- serve-tcp under a 100% snapshot-write fault --------------------------
+OUT="$WORK/serve_tcp.txt"
+ERR="$WORK/serve_tcp_err.txt"
+RPE_FAILPOINTS="snapshot.write=always" \
+  "$CLI" serve-tcp --kind tpch --queries 8 --scale 2 --retrain-every 8 \
+  --trees 5 --snapshot-out "$WORK/snap.rpsn" >"$OUT" 2>"$ERR" &
+SRV_PID=$!
+PORT=""
+for _ in $(seq 1 600); do
+  kill -0 "$SRV_PID" 2>/dev/null || break
+  PORT="$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$OUT" \
+          | head -n 1)"
+  [ -n "$PORT" ] && break
+  sleep 0.5
 done
-
-# serve-tcp flag contract: malformed or out-of-range values exit 2 with a
-# pointer at the docs, before any workload work starts.
-expect_err "invalid --port" \
-  "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --port 70000
-expect_err "invalid --port" \
-  "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --port banana
-expect_err "invalid --io-threads" \
-  "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --io-threads 9999
-expect_err "invalid --shards" \
-  "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --shards 0
-"$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --port 70000 \
-  >/dev/null 2>&1
-[ $? -eq 2 ] || fail "serve-tcp bad --port did not exit 2"
-
-# --- serve-online under a 100% snapshot-write fault -----------------------
-OUT="$WORK/serve_online.txt"
-ERR="$WORK/serve_online_err.txt"
-if ! RPE_FAILPOINTS="snapshot.write=always" \
-    "$CLI" serve-online --kind tpch --queries 8 --scale 2 --sessions 8 \
-    --retrain-every 8 --ingest-per-tick 8 --trees 5 \
-    --snapshot-out "$WORK/snap.rpsn" >"$OUT" 2>"$ERR"; then
-  fail "serve-online exited nonzero under snapshot.write=always:
+SRV_RC=1
+if [ -z "$PORT" ]; then
+  fail "serve-tcp never listened under snapshot.write=always: $(cat "$ERR")"
+else
+  # Sessions plus an ingest stream until a retrain is published; --check
+  # reconciles client and server counters exactly.
+  "$LOADGEN" --port "$PORT" --connections 2 --sessions 8 --steps 16 \
+    --ingest-batch 8 --ingest-until-swap --check \
+    >"$WORK/loadgen.json" 2>"$WORK/loadgen_err.txt" \
+    || fail "loadgen failed under snapshot.write=always:
+$(cat "$WORK/loadgen_err.txt")"
+  kill -TERM "$SRV_PID"
+  SRV_RC=0
+  wait "$SRV_PID" || SRV_RC=$?
+fi
+SRV_PID=""
+if [ "$SRV_RC" -ne 0 ]; then
+  fail "serve-tcp exited $SRV_RC under snapshot.write=always:
 $(cat "$ERR")"
 else
   grep -q "failpoints armed: snapshot.write" "$ERR" \

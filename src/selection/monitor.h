@@ -45,9 +45,7 @@ class ProgressMonitor {
   /// argmin), but every static choice scores through one
   /// EstimatorSelector::SelectBatch call and every dynamic revision
   /// through another, so the SIMD tile kernel (common/simd.h) sees full
-  /// batches even when each run has only a few pipelines. The serving
-  /// tier's session-open and replay paths feed this
-  /// (serving/monitor_service.h).
+  /// batches even when each run has only a few pipelines.
   std::vector<std::vector<PipelineDecision>> DecideForRuns(
       std::span<const QueryRunResult* const> runs) const;
 

@@ -5,7 +5,7 @@
 // Register* call installs a collector that reads the subsystem's stats
 // only when someone scrapes (/metrics, kMetricsDump, or the exit-time
 // CLI table). The Sample table labels emitted here are the exact row
-// labels the serve-* stats tables have always printed — scripts that
+// labels the serve-tcp stats table has always printed — scripts that
 // parse those rows (scripts/server_smoke_test.sh,
 // scripts/cli_exit_test.sh) keep working against the registry-driven
 // formatter. Metric names are catalogued in docs/OBSERVABILITY.md.
@@ -17,9 +17,9 @@
 namespace rpe {
 
 /// Append the service + ingest/trainer samples derived from one stats
-/// snapshot (the row set shared by serve-replay / serve-tcp /
-/// serve-online). Exposed separately from the collector so callers with
-/// an already-taken snapshot can reuse it.
+/// snapshot (the service rows of the serve-tcp exit table). Exposed
+/// separately from the collector so callers with an already-taken
+/// snapshot can reuse it.
 void AppendServiceSamples(const ShardedMonitorService::Stats& stats,
                           std::vector<obs::Sample>* out);
 

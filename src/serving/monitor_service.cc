@@ -1,11 +1,9 @@
 #include "serving/monitor_service.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/logging.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "obs/trace.h"
 
 namespace rpe {
@@ -96,50 +94,6 @@ Result<MonitorService::SessionId> MonitorService::OpenSession(
   return id;
 }
 
-Result<std::vector<MonitorService::SessionId>> MonitorService::OpenSessions(
-    std::span<const QueryRunResult* const> runs) {
-  for (const QueryRunResult* run : runs) {
-    if (run == nullptr) {
-      return Status::InvalidArgument("OpenSessions: null run");
-    }
-  }
-  std::vector<SessionId> ids(runs.size());
-  if (runs.empty()) return ids;
-  const auto start = Clock::now();
-  const std::shared_ptr<const SelectorStack> stack = models();
-  std::vector<std::shared_ptr<Session>> opened;
-  opened.reserve(runs.size());
-  for (const QueryRunResult* run : runs) {
-    opened.push_back(
-        std::make_shared<Session>(stack, run, options_.revision_marker_pct));
-  }
-  // One batched decision pass across every pipeline of every run — the
-  // same choices OpenSession makes per run, scored in full SIMD tiles.
-  auto decided = opened.front()->monitor.DecideForRuns(runs);
-  const double elapsed = SecondsSince(start);
-  const double per_session = elapsed / static_cast<double>(runs.size());
-  uint64_t total_decisions = 0;
-  for (size_t i = 0; i < runs.size(); ++i) {
-    total_decisions += CountDecisions(decided[i]);
-    opened[i]->decisions = std::move(decided[i]);
-    opened[i]->elapsed_sec = per_session;
-  }
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      ids[i] = next_id_++;
-      sessions_.emplace(ids[i], std::move(opened[i]));
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    sessions_opened_ += runs.size();
-    decisions_ += total_decisions;
-    scoring_time_sec_ += elapsed;
-  }
-  return ids;
-}
-
 Result<std::shared_ptr<MonitorService::Session>> MonitorService::Find(
     SessionId id) const {
   std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -148,16 +102,6 @@ Result<std::shared_ptr<MonitorService::Session>> MonitorService::Find(
     return Status::NotFound("no open session " + std::to_string(id));
   }
   return it->second;
-}
-
-double MonitorService::StepLocked(Session* s) {
-  const auto start = Clock::now();
-  s->last_progress =
-      s->monitor.QueryProgressAt(*s->run, s->decisions, s->next_obs);
-  ++s->next_obs;
-  const double dt = SecondsSince(start);
-  s->elapsed_sec += dt;
-  return dt;
 }
 
 Result<double> MonitorService::Advance(SessionId id) {
@@ -173,8 +117,12 @@ Result<double> MonitorService::Advance(SessionId id) {
       return Status::OutOfRange("session " + std::to_string(id) +
                                 " replay complete");
     }
-    dt = StepLocked(s.get());
-    progress = s->last_progress;
+    const auto start = Clock::now();
+    progress = s->monitor.QueryProgressAt(*s->run, s->decisions, s->next_obs);
+    dt = SecondsSince(start);
+    ++s->next_obs;
+    s->last_progress = progress;
+    s->elapsed_sec += dt;
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++observations_scored_;
@@ -232,139 +180,6 @@ size_t MonitorService::num_open_sessions() const {
   return sessions_.size();
 }
 
-size_t MonitorService::Tick(size_t max_steps) {
-  // One serialized scheduling pass: snapshot the active set in session-id
-  // order (deterministic regardless of hash-map iteration order), pick the
-  // sessions to advance, then shard the per-observation scoring. Each
-  // stepped session writes only its own state, so the tick is
-  // deterministic at any thread count.
-  std::lock_guard<std::mutex> tick_lock(tick_mu_);
-  std::vector<std::pair<SessionId, std::shared_ptr<Session>>> active;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    active.reserve(sessions_.size());
-    for (auto& [id, s] : sessions_) active.emplace_back(id, s);
-  }
-  std::sort(active.begin(), active.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // `selected` is the set the parallel pass steps; skipped eligible
-  // sessions are unfinished by definition and enter the remaining count
-  // directly, so no post-pass lock round is needed.
-  std::vector<size_t> selected;  // indices into `active`
-  size_t skipped_unfinished = 0;
-  if (max_steps == 0) {
-    // Unbudgeted: step every session (finished ones no-op inside the
-    // parallel pass) — no scheduling pass, exactly the pre-budget path.
-    selected.resize(active.size());
-    for (size_t i = 0; i < active.size(); ++i) selected[i] = i;
-  } else {
-    std::vector<size_t> eligible;  // indices into `active`, id order
-    eligible.reserve(active.size());
-    for (size_t i = 0; i < active.size(); ++i) {
-      Session* s = active[i].second.get();
-      std::lock_guard<std::mutex> lock(s->mu);
-      if (s->next_obs < s->run->observations.size()) eligible.push_back(i);
-    }
-    if (max_steps >= eligible.size()) {
-      selected = eligible;
-    } else {
-      // Deficit round-robin: every unfinished session earns one credit,
-      // the max_steps highest-credit sessions (ties by session id)
-      // advance and reset. Skipped sessions keep accumulating, so the
-      // serviced set rotates and no session waits more than
-      // ceil(eligible / max_steps) ticks.
-      for (size_t i : eligible) ++active[i].second->deficit;
-      selected = eligible;
-      std::stable_sort(selected.begin(), selected.end(),
-                       [&](size_t a, size_t b) {
-                         return active[a].second->deficit >
-                                active[b].second->deficit;
-                       });
-      selected.resize(max_steps);
-      skipped_unfinished = eligible.size() - selected.size();
-    }
-  }
-
-  ThreadPool* pool =
-      options_.pool != nullptr ? options_.pool : &ThreadPool::Global();
-  std::vector<uint8_t> stepped(selected.size(), 0);
-  std::vector<uint8_t> unfinished(selected.size(), 0);
-  std::vector<double> step_sec(selected.size(), 0.0);
-  pool->ParallelFor(selected.size(), [&](size_t si) {
-    Session* s = active[selected[si]].second.get();
-    std::lock_guard<std::mutex> lock(s->mu);
-    // Re-check under the session lock: a concurrent Advance may have
-    // finished the session since the scheduling pass.
-    if (s->next_obs < s->run->observations.size()) {
-      step_sec[si] = StepLocked(s);
-      stepped[si] = 1;
-    }
-    unfinished[si] = s->next_obs < s->run->observations.size() ? 1 : 0;
-    // Serviced sessions clear their fairness credit (each worker writes
-    // only its own session; tick_mu_ excludes competing schedulers).
-    s->deficit = 0;
-  });
-
-  size_t scored = 0;
-  size_t remaining = skipped_unfinished;
-  double elapsed = 0.0;
-  for (size_t si = 0; si < selected.size(); ++si) {
-    scored += stepped[si];
-    remaining += unfinished[si];
-    elapsed += step_sec[si];
-  }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  observations_scored_ += scored;
-  scoring_time_sec_ += elapsed;
-  return remaining;
-}
-
-std::vector<std::vector<double>> MonitorService::ReplayAll(
-    std::span<const QueryRunResult* const> runs) {
-  const std::shared_ptr<const SelectorStack> stack = models();
-  ThreadPool* pool =
-      options_.pool != nullptr ? options_.pool : &ThreadPool::Global();
-  std::vector<std::vector<double>> out(runs.size());
-  if (runs.empty()) return out;
-  // Decisions for every run score in one batched pass (full SIMD tiles
-  // across runs) before the per-observation replay shards across the
-  // pool. DecideForRuns is bit-identical to per-run DecideForRun, so each
-  // series stays bit-identical to the sequential
-  // ProgressMonitor::ReplayQueryProgress regardless of sharding.
-  const auto decide_start = Clock::now();
-  ProgressMonitor monitor(&stack->static_selector, &stack->dynamic_selector,
-                          options_.revision_marker_pct);
-  const auto decided = monitor.DecideForRuns(runs);
-  const double decide_ms_per_run =
-      SecondsSince(decide_start) * 1e3 / static_cast<double>(runs.size());
-  std::vector<double> latency_ms(runs.size(), 0.0);
-  std::vector<uint64_t> decisions(runs.size(), 0);
-  std::vector<uint64_t> scored(runs.size(), 0);
-  pool->ParallelFor(runs.size(), [&](size_t i) {
-    const QueryRunResult& run = *runs[i];
-    const auto start = Clock::now();
-    std::vector<double>& series = out[i];
-    series.reserve(run.observations.size());
-    for (size_t oi = 0; oi < run.observations.size(); ++oi) {
-      series.push_back(monitor.QueryProgressAt(run, decided[i], oi));
-    }
-    latency_ms[i] = decide_ms_per_run + SecondsSince(start) * 1e3;
-    decisions[i] = CountDecisions(decided[i]);
-    scored[i] = run.observations.size();
-  });
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  for (size_t i = 0; i < runs.size(); ++i) {
-    ++sessions_opened_;
-    ++sessions_completed_;
-    decisions_ += decisions[i];
-    observations_scored_ += scored[i];
-    scoring_time_sec_ += latency_ms[i] / 1e3;
-    PushLatencyLocked(latency_ms[i]);
-  }
-  return out;
-}
-
 MonitorService::Stats MonitorService::GetStats(
     std::vector<double>* latency_samples) const {
   // The ingest provider is fetched and called outside the service locks:
@@ -389,7 +204,7 @@ MonitorService::Stats MonitorService::GetStats(
   if (latency_samples != nullptr) *latency_samples = replay_latency_ms_;
   if (scoring_time_sec_ > 0.0) {
     // Throughput over cumulative scoring time (accrued live at every
-    // decision and observation tick, so open or early-closed sessions
+    // decision and observation step, so open or early-closed sessions
     // are counted): per-core rates comparable across thread counts.
     stats.decisions_per_sec =
         static_cast<double>(decisions_) / scoring_time_sec_;

@@ -1,8 +1,8 @@
 // MonitorService: the concurrent serving front of the deployed architecture
 // (paper Figure 3). Many queries are monitored at once; each open session
 // replays one recorded run through the online select-then-revise protocol
-// of ProgressMonitor, and the service shards the per-observation scoring
-// across the shared ThreadPool.
+// of ProgressMonitor, one observation per Advance call. Callers on any
+// number of threads may drive distinct sessions concurrently.
 //
 // Model ownership is an immutable-snapshot hot swap: the service holds a
 // std::shared_ptr<const SelectorStack>, every session pins the snapshot
@@ -27,7 +27,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -36,8 +35,6 @@
 #include "serving/snapshot.h"
 
 namespace rpe {
-
-class ThreadPool;
 
 /// \brief Publish target of the online-learning loop: anything that can
 /// atomically swap in a new immutable model snapshot. MonitorService and
@@ -61,8 +58,6 @@ class MonitorService : public ModelPublisher {
   struct Options {
     /// Driver-consumption marker at which choices are revised (§4.4).
     double revision_marker_pct = 20.0;
-    /// Worker pool for sharded replay; nullptr = the global pool.
-    ThreadPool* pool = nullptr;
   };
 
   using SessionId = uint64_t;
@@ -82,19 +77,10 @@ class MonitorService : public ModelPublisher {
 
   /// Open a monitoring session over a recorded run. The per-pipeline
   /// estimator decisions (initial + revision) are made here, against the
-  /// current snapshot — per-observation Advance/Tick work replays against
+  /// current snapshot — per-observation Advance work replays against
   /// these precomputed decisions and never scores a selector. `run` must
   /// outlive the session.
   Result<SessionId> OpenSession(const QueryRunResult* run);
-
-  /// Open many sessions in one call; returns one SessionId per run, in
-  /// order. The estimator decisions for every pipeline of every run score
-  /// through one batched ProgressMonitor::DecideForRuns pass — full SIMD
-  /// tiles across runs (common/simd.h) — and are bit-identical to opening
-  /// each session individually against the same snapshot. A null run
-  /// fails the whole call before any session is opened.
-  Result<std::vector<SessionId>> OpenSessions(
-      std::span<const QueryRunResult* const> runs);
 
   /// Advance the session by one observation tick; returns the query
   /// progress reported at the new observation. OutOfRange once the run's
@@ -112,28 +98,10 @@ class MonitorService : public ModelPublisher {
 
   size_t num_open_sessions() const;
 
-  /// Advance unfinished sessions by one observation each in a single
-  /// sharded pass. `max_steps` bounds the per-call work when the pool is
-  /// saturated: 0 (the default) advances every unfinished session; a
-  /// positive budget advances at most that many, chosen by per-session
-  /// deficit counters (deficit round-robin). Every unfinished session
-  /// earns one credit per budgeted tick and the highest-credit sessions
-  /// go first (ties by session id, credits reset on service), so any
-  /// session waits at most ceil(active / max_steps) ticks — long-running
-  /// replays cannot starve short ones. Returns the number of sessions
-  /// still unfinished afterwards.
-  size_t Tick(size_t max_steps = 0);
-
-  /// Replay whole runs concurrently, one session per entry; out[i] is
-  /// bit-identical to ProgressMonitor::ReplayQueryProgress(*runs[i]) run
-  /// sequentially against the same snapshot.
-  std::vector<std::vector<double>> ReplayAll(
-      std::span<const QueryRunResult* const> runs);
-
   /// \brief Aggregate serving statistics since construction.
   struct Stats {
     size_t sessions_opened = 0;
-    size_t sessions_completed = 0;  ///< fully replayed (closed or ReplayAll)
+    size_t sessions_completed = 0;  ///< fully replayed, then closed
     uint64_t decisions = 0;  ///< estimator selections (initial + revised)
     uint64_t observations_scored = 0;
     /// Per-session full-replay latency percentiles over a sliding window
@@ -176,20 +144,14 @@ class MonitorService : public ModelPublisher {
     size_t next_obs = 0;
     double last_progress = 0.0;
     double elapsed_sec = 0.0;  ///< cumulative scoring time
-    /// Fairness credit for budgeted Tick (guarded by the service's
-    /// tick_mu_: only the serialized scheduling pass touches it).
-    uint64_t deficit = 0;
-    /// Serializes Advance/Tick on the same session; distinct sessions
-    /// never contend.
+    /// Serializes Advance on the same session; distinct sessions never
+    /// contend.
     mutable std::mutex mu;
     Session(std::shared_ptr<const SelectorStack> stack,
             const QueryRunResult* r, double marker_pct);
   };
 
   Result<std::shared_ptr<Session>> Find(SessionId id) const;
-  /// One observation tick of one session (caller holds s->mu); returns
-  /// the scoring time spent.
-  static double StepLocked(Session* s);
   void RecordCompletion(const Session& s);
   /// Caller holds stats_mu_.
   void PushLatencyLocked(double latency_ms);
@@ -204,10 +166,6 @@ class MonitorService : public ModelPublisher {
   SessionId next_id_ = 1;
   std::unordered_map<SessionId, std::shared_ptr<Session>> sessions_;
 
-  /// Serializes Tick passes (the deficit scheduling state is
-  /// single-ticker); Advance/ReplayAll do not take it.
-  std::mutex tick_mu_;
-
   mutable std::mutex ingest_mu_;
   std::function<IngestStats()> ingest_provider_;
 
@@ -216,8 +174,8 @@ class MonitorService : public ModelPublisher {
   size_t sessions_completed_ = 0;
   uint64_t decisions_ = 0;
   uint64_t observations_scored_ = 0;
-  /// Cumulative scoring time, accrued live (session open, every Advance/
-  /// Tick step, every ReplayAll session) — the rate denominator.
+  /// Cumulative scoring time, accrued live (session open and every
+  /// Advance step) — the rate denominator.
   double scoring_time_sec_ = 0.0;
   /// Bounded ring of recent per-session replay latencies (see Stats).
   static constexpr size_t kLatencyWindow = 4096;

@@ -111,13 +111,9 @@ struct TcpServer::Connection {
   int fd = -1;
   size_t shard = 0;  ///< every session of this connection opens here
   FrameDecoder decoder;
-  /// Frames decoded but not yet dispatched. Dispatch stops at a deferred
-  /// Advance (response order is per-connection FIFO) and while reads are
-  /// paused by backpressure.
+  /// Frames decoded but not yet dispatched, answered in FIFO order.
+  /// Dispatch stops while reads are paused by backpressure.
   std::deque<InboxEntry> inbox;
-  /// True while this connection has an Advance in the IO thread's batch;
-  /// later frames wait so responses keep request order.
-  bool advancing = false;
   std::string wbuf;
   size_t woff = 0;  ///< flushed prefix of wbuf
   bool want_write = false;   ///< EPOLLOUT armed
@@ -126,21 +122,6 @@ struct TcpServer::Connection {
   std::vector<uint64_t> sessions;  ///< open session ids (global)
 
   size_t pending_write() const { return wbuf.size() - woff; }
-};
-
-/// \brief One deferred Advance request inside an IO thread's per-iteration
-/// batch (see RunAdvanceBatch).
-struct TcpServer::AdvanceWork {
-  Connection* conn = nullptr;
-  uint64_t session = 0;
-  uint64_t trace_id = 0;  ///< root span carried from the inbox entry
-  uint64_t recv_ns = 0;   ///< decode timestamp carried from the entry
-  uint32_t budget = 0;
-  uint32_t taken = 0;
-  double progress = 0.0;
-  bool done = false;
-  bool retired = false;
-  Status error;  ///< non-OK: answered as an error frame
 };
 
 /// \brief Per-IO-thread state: the epoll instance, an eventfd for
@@ -159,7 +140,6 @@ struct TcpServer::IoThread {
   std::vector<int> handoff;  ///< accepted fds awaiting adoption
 
   std::unordered_map<int, std::unique_ptr<Connection>> conns;
-  std::vector<AdvanceWork> batch;
 };
 
 TcpServer::TcpServer(ShardedMonitorService* service,
@@ -538,8 +518,8 @@ bool TcpServer::FlushWrites(IoThread* io, Connection* conn) {
   return true;
 }
 
-void TcpServer::HandleFrame(IoThread* io, Connection* conn,
-                            const InboxEntry& entry) {
+uint64_t TcpServer::HandleFrame(IoThread* io, Connection* conn,
+                                const InboxEntry& entry) {
   const WireFrame& frame = entry.frame;
   obs::TraceSpan route_span("shard.route", conn->shard);
   switch (frame.type) {
@@ -548,7 +528,7 @@ void TcpServer::HandleFrame(IoThread* io, Connection* conn,
       if (!req.ok()) {
         c_.protocol_errors->Inc();
         SendFrame(io, conn, EncodeErrorFrame(MsgType::kOpen, req.status()));
-        return;
+        return 0;
       }
       const uint32_t resolved =
           static_cast<uint32_t>(req->run_index % runs_.size());
@@ -556,7 +536,7 @@ void TcpServer::HandleFrame(IoThread* io, Connection* conn,
       const auto id = service_->OpenSessionOnShard(run, conn->shard);
       if (!id.ok()) {
         SendFrame(io, conn, EncodeErrorFrame(MsgType::kOpen, id.status()));
-        return;
+        return 0;
       }
       conn->sessions.push_back(*id);
       c_.wire_sessions_opened->Inc();
@@ -566,7 +546,7 @@ void TcpServer::HandleFrame(IoThread* io, Connection* conn,
       resp.num_observations =
           static_cast<uint32_t>(run->observations.size());
       SendFrame(io, conn, EncodeOpenResponse(resp));
-      return;
+      return 0;
     }
     case MsgType::kAdvance: {
       const auto req = DecodeAdvanceRequest(frame.payload);
@@ -574,17 +554,39 @@ void TcpServer::HandleFrame(IoThread* io, Connection* conn,
         c_.protocol_errors->Inc();
         SendFrame(io, conn,
                   EncodeErrorFrame(MsgType::kAdvance, req.status()));
-        return;
+        return 0;
       }
-      AdvanceWork work;
-      work.conn = conn;
-      work.session = req->session_id;
-      work.trace_id = entry.trace_id;
-      work.recv_ns = entry.recv_ns;
-      work.budget = req->max_steps;
-      conn->advancing = true;  // holds later frames until answered
-      io->batch.push_back(work);
-      return;
+      // Step up to max_steps observations (the decoder caps it at
+      // kMaxAdvanceSteps); each "advance.step" span parents to this
+      // request through the TraceContext DispatchInbox set.
+      AdvanceResponse resp;
+      while (resp.steps < req->max_steps) {
+        const auto step = service_->Advance(req->session_id);
+        if (!step.ok()) {
+          if (step.status().code() != StatusCode::kOutOfRange) {
+            SendFrame(io, conn,
+                      EncodeErrorFrame(MsgType::kAdvance, step.status()));
+            return resp.steps;
+          }
+          // Replay exhausted. If no step was taken this request, report
+          // the resting progress so the response is still well-formed.
+          if (resp.steps == 0) {
+            const auto progress = service_->Progress(req->session_id);
+            if (progress.ok()) resp.progress = *progress;
+          }
+          resp.done = 1;
+          break;
+        }
+        resp.progress = *step;
+        ++resp.steps;
+        c_.advance_steps->Inc();
+      }
+      if (resp.done == 0) {
+        const auto done = service_->Done(req->session_id);
+        resp.done = done.ok() && *done ? 1 : 0;
+      }
+      SendFrame(io, conn, EncodeAdvanceResponse(resp));
+      return resp.steps;
     }
     case MsgType::kProgress: {
       const auto req = DecodeProgressRequest(frame.payload);
@@ -592,39 +594,39 @@ void TcpServer::HandleFrame(IoThread* io, Connection* conn,
         c_.protocol_errors->Inc();
         SendFrame(io, conn,
                   EncodeErrorFrame(MsgType::kProgress, req.status()));
-        return;
+        return 0;
       }
       const auto progress = service_->Progress(req->session_id);
       if (!progress.ok()) {
         SendFrame(io, conn,
                   EncodeErrorFrame(MsgType::kProgress, progress.status()));
-        return;
+        return 0;
       }
       const auto done = service_->Done(req->session_id);
       ProgressResponse resp;
       resp.progress = *progress;
       resp.done = done.ok() && *done ? 1 : 0;
       SendFrame(io, conn, EncodeProgressResponse(resp));
-      return;
+      return 0;
     }
     case MsgType::kClose: {
       const auto req = DecodeCloseRequest(frame.payload);
       if (!req.ok()) {
         c_.protocol_errors->Inc();
         SendFrame(io, conn, EncodeErrorFrame(MsgType::kClose, req.status()));
-        return;
+        return 0;
       }
       const Status closed = service_->CloseSession(req->session_id);
       if (!closed.ok()) {
         SendFrame(io, conn, EncodeErrorFrame(MsgType::kClose, closed));
-        return;
+        return 0;
       }
       auto it = std::find(conn->sessions.begin(), conn->sessions.end(),
                           req->session_id);
       if (it != conn->sessions.end()) conn->sessions.erase(it);
       c_.wire_sessions_closed->Inc();
       SendFrame(io, conn, EncodeCloseResponse());
-      return;
+      return 0;
     }
     case MsgType::kStats: {
       if (!frame.payload.empty()) {
@@ -634,10 +636,10 @@ void TcpServer::HandleFrame(IoThread* io, Connection* conn,
                       MsgType::kStats,
                       Status::InvalidArgument(
                           "StatsRequest carries a nonempty payload")));
-        return;
+        return 0;
       }
       SendFrame(io, conn, EncodeStatsResponse(BuildWireStats()));
-      return;
+      return 0;
     }
     case MsgType::kMetricsDump: {
       if (!frame.payload.empty()) {
@@ -647,14 +649,14 @@ void TcpServer::HandleFrame(IoThread* io, Connection* conn,
                       MsgType::kMetricsDump,
                       Status::InvalidArgument(
                           "MetricsDumpRequest carries a nonempty payload")));
-        return;
+        return 0;
       }
       // The wire twin of GET /metrics: the same RenderPrometheus text,
       // reachable through the protocol the load generator already speaks
       // (and, like kStats, never shed — see Sheddable).
       SendFrame(io, conn,
                 EncodeMetricsDumpResponse(registry_->RenderPrometheus()));
-      return;
+      return 0;
     }
     case MsgType::kIngestRecord: {
       auto req = DecodeIngestRecordRequest(frame.payload);
@@ -662,12 +664,12 @@ void TcpServer::HandleFrame(IoThread* io, Connection* conn,
         c_.protocol_errors->Inc();
         SendFrame(io, conn,
                   EncodeErrorFrame(MsgType::kIngestRecord, req.status()));
-        return;
+        return 0;
       }
       std::vector<PipelineRecord> records;
       records.push_back(std::move(req->record));
       IngestRecords(io, conn, MsgType::kIngestRecord, std::move(records));
-      return;
+      return 0;
     }
     case MsgType::kIngestBatch: {
       auto req = DecodeIngestBatchRequest(frame.payload);
@@ -675,15 +677,16 @@ void TcpServer::HandleFrame(IoThread* io, Connection* conn,
         c_.protocol_errors->Inc();
         SendFrame(io, conn,
                   EncodeErrorFrame(MsgType::kIngestBatch, req.status()));
-        return;
+        return 0;
       }
       IngestRecords(io, conn, MsgType::kIngestBatch,
                     std::move(req->records));
-      return;
+      return 0;
     }
   }
   // Unreachable: FrameDecoder rejects unknown type bytes.
   c_.protocol_errors->Inc();
+  return 0;
 }
 
 void TcpServer::AnswerShed(IoThread* io, Connection* conn,
@@ -749,8 +752,7 @@ void TcpServer::IngestRecords(IoThread* io, Connection* conn, MsgType type,
 }
 
 void TcpServer::DispatchInbox(IoThread* io, Connection* conn) {
-  while (!conn->inbox.empty() && !conn->advancing && !conn->paused_read &&
-         !conn->dead) {
+  while (!conn->inbox.empty() && !conn->paused_read && !conn->dead) {
     const InboxEntry entry = std::move(conn->inbox.front());
     conn->inbox.pop_front();
     if (entry.shed) {
@@ -761,17 +763,14 @@ void TcpServer::DispatchInbox(IoThread* io, Connection* conn) {
     inflight_total_.fetch_sub(1, std::memory_order_relaxed);
     const MsgType type = entry.frame.type;
     obs::SlowScratch::BeginRequest();
+    uint64_t arg = 0;
     {
       // Child spans opened while handling (shard route, service calls)
       // parent to this request without threading ids through signatures.
       obs::TraceContext::Scope scope(entry.trace_id);
-      HandleFrame(io, conn, entry);
+      arg = HandleFrame(io, conn, entry);
     }
-    // A kAdvance defers into the batch; its root span and latency sample
-    // are recorded when RunAdvanceBatch answers it.
-    if (!conn->advancing) {
-      FinishRequest(SpanNameFor(type), entry.trace_id, entry.recv_ns, 0);
-    }
+    FinishRequest(SpanNameFor(type), entry.trace_id, entry.recv_ns, arg);
   }
 }
 
@@ -782,7 +781,7 @@ void TcpServer::FinishRequest(const char* name, uint64_t trace_id,
   request_latency_->Record(latency);
   obs::Tracer& tracer = obs::Tracer::Global();
   if (trace_id != 0) {
-    tracer.Record(name, trace_id, 0, recv_ns, latency);
+    tracer.Record(name, trace_id, 0, recv_ns, latency, arg);
   }
   const uint64_t threshold = tracer.slow_threshold_ns();
   if (threshold != 0 && latency >= threshold) {
@@ -791,66 +790,6 @@ void TcpServer::FinishRequest(const char* name, uint64_t trace_id,
                  << static_cast<double>(latency) / 1e6 << " ms ["
                  << obs::SlowScratch::Breakdown() << "]";
   }
-}
-
-void TcpServer::RunAdvanceBatch(IoThread* io) {
-  // Deficit round-robin over the batch: one observation step per pending
-  // request per round, so budgets interleave fairly (the front-end mirror
-  // of MonitorService::Tick's discipline). Bounded by the per-request
-  // kMaxAdvanceSteps cap the decoder enforces.
-  std::vector<AdvanceWork>& batch = io->batch;
-  size_t active = batch.size();
-  while (active > 0) {
-    for (AdvanceWork& w : batch) {
-      if (w.retired) continue;
-      // Each step's "advance.step" span (opened inside the service)
-      // parents to the request whose budget it came from, even though the
-      // batch interleaves requests deficit-fairly.
-      obs::TraceContext::Scope scope(w.trace_id);
-      const auto step = service_->Advance(w.session);
-      if (step.ok()) {
-        w.progress = *step;
-        ++w.taken;
-        c_.advance_steps->Inc();
-        if (w.taken >= w.budget) {
-          const auto done = service_->Done(w.session);
-          w.done = done.ok() && *done;
-          w.retired = true;
-          --active;
-        }
-        continue;
-      }
-      if (step.status().code() == StatusCode::kOutOfRange) {
-        // Replay exhausted. If no step was taken this request, report the
-        // resting progress so the response is still well-formed.
-        if (w.taken == 0) {
-          const auto progress = service_->Progress(w.session);
-          if (progress.ok()) w.progress = *progress;
-        }
-        w.done = true;
-      } else {
-        w.error = step.status();
-      }
-      w.retired = true;
-      --active;
-    }
-  }
-  for (AdvanceWork& w : batch) {
-    Connection* conn = w.conn;
-    if (conn->dead) continue;
-    if (!w.error.ok()) {
-      SendFrame(io, conn, EncodeErrorFrame(MsgType::kAdvance, w.error));
-    } else {
-      AdvanceResponse resp;
-      resp.progress = w.progress;
-      resp.steps = w.taken;
-      resp.done = w.done ? 1 : 0;
-      SendFrame(io, conn, EncodeAdvanceResponse(resp));
-    }
-    FinishRequest("request.advance", w.trace_id, w.recv_ns, w.taken);
-    conn->advancing = false;
-  }
-  batch.clear();
 }
 
 bool TcpServer::ReadInto(IoThread* io, Connection* conn) {
@@ -987,28 +926,21 @@ void TcpServer::IoLoop(IoThread* io) {
       if ((ev & EPOLLIN) != 0 && !ReadInto(io, conn)) continue;
     }
     // Batched dispatch: every readable connection has decoded its frames;
-    // answer cheap requests inline and interleave the Advance work
-    // deficit-fairly, repeating until all frames decoded this iteration
-    // are answered (each pass consumes at least one frame). Flushing can
+    // answer them in per-connection FIFO order, then flush. Flushing can
     // lift a backpressure pause, which re-enables dispatch for frames the
-    // pause was holding — hence the outer loop.
+    // pause was holding — hence the loop.
     bool dispatchable = true;
     while (dispatchable) {
-      while (true) {
-        for (auto& [fd, conn] : io->conns) DispatchInbox(io, conn.get());
-        if (io->batch.empty()) break;
-        RunAdvanceBatch(io);
-      }
-      // One flush per touched connection: responses for a whole batch
-      // leave in as few write() calls as the kernel allows.
+      for (auto& [fd, conn] : io->conns) DispatchInbox(io, conn.get());
+      // One flush per touched connection: every response of the pass
+      // leaves in as few write() calls as the kernel allows.
       for (auto it2 = io->conns.begin(); it2 != io->conns.end();) {
         Connection* conn = (it2++)->second.get();
         if (conn->pending_write() > 0) FlushWrites(io, conn);
       }
       dispatchable = false;
       for (auto& [fd, conn] : io->conns) {
-        if (!conn->inbox.empty() && !conn->advancing &&
-            !conn->paused_read) {
+        if (!conn->inbox.empty() && !conn->paused_read) {
           dispatchable = true;
           break;
         }
@@ -1021,11 +953,7 @@ void TcpServer::IoLoop(IoThread* io) {
   const auto deadline =
       std::chrono::steady_clock::now() + options_.drain_timeout;
   // Answer frames already decoded before the stop landed.
-  while (true) {
-    for (auto& [fd, conn] : io->conns) DispatchInbox(io, conn.get());
-    if (io->batch.empty()) break;
-    RunAdvanceBatch(io);
-  }
+  for (auto& [fd, conn] : io->conns) DispatchInbox(io, conn.get());
   bool pending = true;
   while (pending && std::chrono::steady_clock::now() < deadline) {
     pending = false;

@@ -1,8 +1,9 @@
 // TcpServer: the epoll TCP front-end of the serving tier. Untrusted
 // clients speak the length-prefixed wire protocol (serving/wire.h) —
-// Open/Advance/Progress/Close/Stats — against a ShardedMonitorService;
-// this file turns "traffic enters via in-process replay" into "traffic
-// enters via a socket" without adding a single lock to the scoring path.
+// Open/Advance/Progress/Close/Stats — against a ShardedMonitorService.
+// It is the one way a monitoring session is driven: Open/Advance/Close
+// requests arrive on a socket, and serving them adds no lock to the
+// scoring path.
 //
 // Threading / pinning model: N IO threads, each owning one epoll
 // instance and a disjoint set of connections. Accepted connections are
@@ -12,17 +13,15 @@
 // num_shards (the default) the event loops align 1:1 with shards and a
 // request never crosses a shard lock it didn't need — the only
 // contention on a session's shard comes from the one IO thread that owns
-// the session, plus the service-level Tick/publish machinery.
+// the session, plus the service-level publish machinery.
 //
-// Batched decode → deficit-fair advance: an IO thread drains every
-// readable connection first, decoding all complete frames, answering
-// cheap requests inline and deferring Advance work into a per-iteration
-// batch. The batch then runs as a deficit round-robin — one observation
-// step per pending request per round, exactly the service Tick's
-// fairness discipline — so a connection asking for 4096 steps cannot
-// starve one asking for 1. Per-connection FIFO response order is
-// preserved: a connection's later frames are not dispatched until its
-// deferred Advance has been answered.
+// Batched decode → inline dispatch: an IO thread drains every readable
+// connection first, decoding all complete frames, then answers each
+// connection's frames in FIFO order — an Advance steps its session up to
+// max_steps observations right there — and finally flushes every touched
+// connection once. A request's steps are bounded by kMaxAdvanceSteps, so
+// one pass over the inboxes is bounded too; the responses of the whole
+// pass leave together in the flush.
 //
 // Backpressure: a connection's pending responses accumulate in a bounded
 // write buffer. When it exceeds Options::max_write_buffer the server
@@ -174,7 +173,6 @@ class TcpServer {
  private:
   struct Connection;
   struct InboxEntry;
-  struct AdvanceWork;
   struct IoThread;
 
   void AcceptLoop();
@@ -182,21 +180,21 @@ class TcpServer {
   /// Read until EAGAIN, decode frames into the connection inbox. False =
   /// the connection died (already cleaned up).
   bool ReadInto(IoThread* io, Connection* conn);
-  /// Dispatch queued frames in FIFO order until an Advance defers or the
-  /// write buffer fills. Appends deferred Advance work to io->batch.
+  /// Dispatch queued frames in FIFO order until the write buffer fills.
   void DispatchInbox(IoThread* io, Connection* conn);
-  /// Run the deferred Advance batch deficit-fairly, answer each request.
-  void RunAdvanceBatch(IoThread* io);
   /// Flush the write buffer; arms EPOLLOUT on partial writes, resumes
   /// paused reads once drained. False = the connection died.
   bool FlushWrites(IoThread* io, Connection* conn);
   void SendFrame(IoThread* io, Connection* conn, std::string frame);
   void CloseConnection(IoThread* io, Connection* conn);
-  void HandleFrame(IoThread* io, Connection* conn, const InboxEntry& entry);
+  /// Answer one frame; returns the root span's arg (the observation
+  /// steps an Advance took, 0 otherwise).
+  uint64_t HandleFrame(IoThread* io, Connection* conn,
+                       const InboxEntry& entry);
   /// Close out one answered request: record its end-to-end latency in
-  /// the request histogram, emit the root trace span, and write the
-  /// slow-request log line when the latency crosses the --slow-ms
-  /// threshold.
+  /// the request histogram, emit the root trace span (carrying `arg`,
+  /// e.g. an Advance's step count), and write the slow-request log line
+  /// when the latency crosses the --slow-ms threshold.
   void FinishRequest(const char* name, uint64_t trace_id, uint64_t recv_ns,
                      uint64_t arg);
   /// Serve one accepted /metrics HTTP connection inline (blocking with

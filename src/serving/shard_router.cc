@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 
 namespace rpe {
 namespace {
@@ -21,22 +20,16 @@ uint64_t HashTicket(uint64_t x) {
 }  // namespace
 
 ShardedMonitorService::ShardedMonitorService(
-    std::shared_ptr<const SelectorStack> models, Options options)
-    : options_(options) {
-  RPE_CHECK_GE(options_.num_shards, 1u);
+    std::shared_ptr<const SelectorStack> models, Options options) {
+  RPE_CHECK_GE(options.num_shards, 1u);
   RPE_CHECK(models != nullptr);
   MonitorService::Options shard_options;
-  shard_options.revision_marker_pct = options_.revision_marker_pct;
-  shard_options.pool = options_.pool;
-  shards_.reserve(options_.num_shards);
-  for (size_t s = 0; s < options_.num_shards; ++s) {
+  shard_options.revision_marker_pct = options.revision_marker_pct;
+  shards_.reserve(options.num_shards);
+  for (size_t s = 0; s < options.num_shards; ++s) {
     shards_.push_back(
         std::make_unique<MonitorService>(models, shard_options));
   }
-}
-
-ThreadPool* ShardedMonitorService::Pool() const {
-  return options_.pool != nullptr ? options_.pool : &ThreadPool::Global();
 }
 
 uint64_t ShardedMonitorService::SwapModels(
@@ -107,50 +100,6 @@ size_t ShardedMonitorService::num_open_sessions() const {
   size_t n = 0;
   for (const auto& shard : shards_) n += shard->num_open_sessions();
   return n;
-}
-
-size_t ShardedMonitorService::Tick(size_t max_steps) {
-  const size_t n = shards_.size();
-  // Split the budget across shards; remainder to the lowest indices. A
-  // positive budget smaller than the shard count rounds up to one step
-  // per shard — a shard can never be handed "0 = unbudgeted" by accident,
-  // and the returned remaining count always covers every shard.
-  std::vector<size_t> budget(n, 0);
-  if (max_steps > 0) {
-    for (size_t s = 0; s < n; ++s) {
-      const size_t share = max_steps / n + (s < max_steps % n ? 1 : 0);
-      budget[s] = std::max<size_t>(1, share);
-    }
-  }
-  std::vector<size_t> remaining(n, 0);
-  Pool()->ParallelFor(n, [&](size_t s) {
-    remaining[s] = shards_[s]->Tick(budget[s]);
-  });
-  size_t total = 0;
-  for (size_t r : remaining) total += r;
-  return total;
-}
-
-std::vector<std::vector<double>> ShardedMonitorService::ReplayAll(
-    std::span<const QueryRunResult* const> runs) {
-  const size_t n = shards_.size();
-  // Round-robin partition; each shard replays its share concurrently and
-  // results scatter back to the caller's order. Each series depends only
-  // on its own run + snapshot, so the partition never changes a result.
-  std::vector<std::vector<const QueryRunResult*>> shard_runs(n);
-  std::vector<std::vector<size_t>> shard_indices(n);
-  for (size_t i = 0; i < runs.size(); ++i) {
-    shard_runs[i % n].push_back(runs[i]);
-    shard_indices[i % n].push_back(i);
-  }
-  std::vector<std::vector<double>> out(runs.size());
-  Pool()->ParallelFor(n, [&](size_t s) {
-    auto series = shards_[s]->ReplayAll(shard_runs[s]);
-    for (size_t k = 0; k < series.size(); ++k) {
-      out[shard_indices[s][k]] = std::move(series[k]);
-    }
-  });
-  return out;
 }
 
 ShardedMonitorService::Stats ShardedMonitorService::GetStats() const {

@@ -3,9 +3,9 @@
 // at tens of thousands of open sessions every OpenSession/Advance/Close
 // serializes on the same two locks. The router hash-partitions sessions
 // across N fully independent MonitorService shards — each with its own
-// session map, locks, latency reservoir, and deficit-fair tick budget —
-// so unrelated sessions never contend and the data-path cost of routing
-// is two arithmetic ops on the session id.
+// session map, locks and latency reservoir — so unrelated sessions never
+// contend and the data-path cost of routing is two arithmetic ops on the
+// session id.
 //
 // Routing: OpenSession picks a shard by hashing a monotone open ticket
 // (splitmix64 — uniform spread without coordination) and returns a global
@@ -21,17 +21,16 @@
 // ModelPublisher, so the online-learning loop drives all shards with one
 // call.
 //
-// Ticks: Tick(max_steps) splits the budget across shards (remainder to
-// the lowest shard indices) and runs the per-shard deficit-fair ticks
-// concurrently on the ThreadPool. Fairness is per shard — the guarantee
-// "served at least once per ceil(active/budget) ticks" holds within each
-// shard for its share of the budget.
+// Driving sessions: the router has no scheduler of its own. Callers (the
+// TCP front-end's IO threads, tests, benches) step each session with
+// Advance from whatever thread owns it.
 //
 // Determinism: shards only partition sessions; each session's replay is
 // the same deterministic observation walk MonitorService performs, so a
 // sharded replay is bit-identical to an unsharded one at any shard count
-// and any thread count. Counter stats are exact sums; p50/p95 are
-// computed over the union of the per-shard latency reservoirs.
+// and any number of driving threads. Counter stats are exact sums;
+// p50/p95 are computed over the union of the per-shard latency
+// reservoirs.
 #pragma once
 
 #include <atomic>
@@ -39,14 +38,11 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "serving/monitor_service.h"
 
 namespace rpe {
-
-class ThreadPool;
 
 /// \brief Hash-partitioned MonitorService pool behind one service
 /// interface. All public methods are thread-safe.
@@ -58,8 +54,6 @@ class ShardedMonitorService : public ModelPublisher {
     size_t num_shards = 4;
     /// Driver-consumption marker at which choices are revised (§4.4).
     double revision_marker_pct = 20.0;
-    /// Worker pool for per-shard tick/replay batches; nullptr = global.
-    ThreadPool* pool = nullptr;
   };
 
   using SessionId = MonitorService::SessionId;
@@ -92,18 +86,6 @@ class ShardedMonitorService : public ModelPublisher {
   Status CloseSession(SessionId id);
   size_t num_open_sessions() const;  ///< sum over shards
 
-  /// One sharded tick pass: the budget is divided across shards (0 =
-  /// unbudgeted everywhere) and shard ticks run concurrently. Returns the
-  /// total number of sessions still unfinished.
-  size_t Tick(size_t max_steps = 0);
-
-  /// Replay whole runs concurrently; out[i] is bit-identical to
-  /// ProgressMonitor::ReplayQueryProgress(*runs[i]) against the current
-  /// snapshot, regardless of shard count. Runs are spread round-robin
-  /// across shards.
-  std::vector<std::vector<double>> ReplayAll(
-      std::span<const QueryRunResult* const> runs);
-
   /// \brief Aggregated serving statistics.
   struct Stats {
     size_t shards = 0;
@@ -132,9 +114,7 @@ class ShardedMonitorService : public ModelPublisher {
  private:
   size_t ShardOf(SessionId id) const { return id % shards_.size(); }
   SessionId LocalId(SessionId id) const { return id / shards_.size(); }
-  ThreadPool* Pool() const;
 
-  const Options options_;
   std::vector<std::unique_ptr<MonitorService>> shards_;
 
   /// Monotone open ticket; hashed to pick the shard of a new session.

@@ -80,9 +80,9 @@ TEST_F(MonitorTest, DecisionsCoverAllPipelines) {
 }
 
 TEST_F(MonitorTest, BatchedDecisionsMatchPerRunDecisions) {
-  // DecideForRuns is the SIMD-batched entry the serving tier uses at
-  // session open; its choices must equal per-run DecideForRun exactly,
-  // field for field, at every active tier.
+  // DecideForRuns is the SIMD-batched decision entry; its choices must
+  // equal per-run DecideForRun exactly, field for field, at every active
+  // tier.
   ProgressMonitor monitor(static_selector_, dynamic_selector_);
   std::vector<OwnedRun> owned;
   owned.reserve(6);

@@ -1,15 +1,14 @@
-// ShardedMonitorService tests: sharded replay must be bit-identical to a
-// single unsharded MonitorService at any shard/thread count (50k-session
-// stress), counter aggregation must be exact sums, routing must keep
-// per-session semantics intact, and a SwapModels publish must land on
-// every shard as one generation step even while sessions open
-// concurrently.
+// ShardedMonitorService tests: sessions driven through the sharded tier
+// from several threads must replay bit-identically to a single unsharded
+// MonitorService at any shard/thread count (50k-session stress), counter
+// aggregation must be exact sums, routing must keep per-session semantics
+// intact, and a SwapModels publish must land on every shard as one
+// generation step even while sessions open concurrently.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
-#include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "serving/shard_router.h"
 #include "serving/snapshot.h"
@@ -18,6 +17,7 @@
 namespace rpe {
 namespace {
 
+using ::rpe::testing::DriveSessions;
 using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::RandomRecords;
 
@@ -103,29 +103,31 @@ std::vector<std::unique_ptr<PhysicalPlan>>*
 std::shared_ptr<const SelectorStack> ShardedMonitorServiceTest::stack_;
 
 TEST_F(ShardedMonitorServiceTest, StressReplay50kBitIdenticalToUnsharded) {
-  // The acceptance bar: 50k sessions replayed through the sharded tier
-  // must be bit-identical to one unsharded MonitorService replaying the
-  // same slots, and the aggregated counters must be exact.
+  // The acceptance bar: 50k sessions driven through the sharded tier from
+  // four threads must be bit-identical to one unsharded MonitorService
+  // driving the same slots, and the aggregated counters must be exact.
   const size_t kSessions = 50000;
   const auto session_runs = SessionRuns(kSessions);
   const auto reference = ReferencePerRun();
 
   MonitorService unsharded(stack_);
-  const auto expected = unsharded.ReplayAll(session_runs);
-  ASSERT_EQ(expected.size(), kSessions);
+  auto expected = DriveSessions(&unsharded, session_runs, 4);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_EQ(expected->size(), kSessions);
   for (size_t s = 0; s < kSessions; ++s) {
-    ASSERT_EQ(expected[s], reference[s % runs_->size()])
+    ASSERT_EQ((*expected)[s], reference[s % runs_->size()])
         << "unsharded replay diverged from the sequential monitor";
   }
 
   ShardedMonitorService::Options options;
   options.num_shards = 16;
   ShardedMonitorService sharded(stack_, options);
-  const auto series = sharded.ReplayAll(session_runs);
-  ASSERT_EQ(series.size(), kSessions);
+  auto series = DriveSessions(&sharded, session_runs, 4);
+  ASSERT_TRUE(series.ok()) << series.status().ToString();
+  ASSERT_EQ(series->size(), kSessions);
   for (size_t s = 0; s < kSessions; ++s) {
     // Bit-identical, not approximately equal — and in caller order.
-    ASSERT_EQ(series[s], expected[s]) << "session " << s;
+    ASSERT_EQ((*series)[s], (*expected)[s]) << "session " << s;
   }
 
   const auto stats = sharded.GetStats();
@@ -144,18 +146,19 @@ TEST_F(ShardedMonitorServiceTest, ReplayBitIdenticalAtAnyShardThreadCount) {
   const auto session_runs = SessionRuns(512);
   const auto reference = ReferencePerRun();
   for (size_t shards : {size_t{1}, size_t{3}, size_t{16}}) {
-    for (int threads : {1, 4}) {
-      ThreadPool pool(threads);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
       ShardedMonitorService::Options options;
       options.num_shards = shards;
-      options.pool = &pool;
       ShardedMonitorService service(stack_, options);
-      const auto series = service.ReplayAll(session_runs);
-      ASSERT_EQ(series.size(), session_runs.size());
-      for (size_t s = 0; s < series.size(); ++s) {
-        ASSERT_EQ(series[s], reference[s % runs_->size()])
+      auto series = DriveSessions(&service, session_runs, threads);
+      ASSERT_TRUE(series.ok()) << series.status().ToString();
+      ASSERT_EQ(series->size(), session_runs.size());
+      for (size_t s = 0; s < series->size(); ++s) {
+        ASSERT_EQ((*series)[s], reference[s % runs_->size()])
             << shards << " shards, " << threads << " threads, session " << s;
       }
+      EXPECT_EQ(service.GetStats().total.sessions_completed,
+                session_runs.size());
     }
   }
 }
@@ -198,85 +201,6 @@ TEST_F(ShardedMonitorServiceTest, RoutedSessionsMatchSequentialReplay) {
   EXPECT_FALSE(service.Advance(ids[0]).ok());
   EXPECT_FALSE(service.Progress(12345678).ok());
   EXPECT_FALSE(service.CloseSession(0).ok());
-}
-
-TEST_F(ShardedMonitorServiceTest, BatchOpenSessionsMatchesPerSessionOpens) {
-  // OpenSessions makes every decision through the SIMD-batched
-  // DecideForRuns pass; the sessions it opens must replay bit-identically
-  // to sessions opened one at a time, and the counters must be exact.
-  const auto reference = ReferencePerRun();
-  const size_t kSessions = 37;  // not a tile multiple: exercises the tail
-  const auto session_runs = SessionRuns(kSessions);
-
-  MonitorService service(stack_);
-  auto ids = service.OpenSessions(session_runs);
-  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
-  ASSERT_EQ(ids->size(), kSessions);
-  EXPECT_EQ(service.num_open_sessions(), kSessions);
-
-  MonitorService one_by_one(stack_);
-  uint64_t want_decisions = 0;
-  for (size_t s = 0; s < kSessions; ++s) {
-    ASSERT_TRUE(one_by_one.OpenSession(session_runs[s]).ok());
-  }
-  want_decisions = one_by_one.GetStats().decisions;
-  EXPECT_EQ(service.GetStats().decisions, want_decisions);
-  EXPECT_EQ(service.GetStats().sessions_opened, kSessions);
-
-  for (size_t s = 0; s < kSessions; ++s) {
-    const auto& expected = reference[s % runs_->size()];
-    for (size_t oi = 0; oi < expected.size(); ++oi) {
-      auto progress = service.Advance((*ids)[s]);
-      ASSERT_TRUE(progress.ok()) << progress.status().ToString();
-      ASSERT_EQ(*progress, expected[oi]) << "session " << s << " obs " << oi;
-    }
-    EXPECT_TRUE(*service.Done((*ids)[s]));
-  }
-
-  // A null run poisons the whole batch before any session is opened.
-  std::vector<const QueryRunResult*> with_null = SessionRuns(3);
-  with_null.push_back(nullptr);
-  MonitorService strict(stack_);
-  EXPECT_FALSE(strict.OpenSessions(with_null).ok());
-  EXPECT_EQ(strict.num_open_sessions(), 0u);
-
-  // An empty batch is a clean no-op.
-  auto empty = service.OpenSessions({});
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-}
-
-TEST_F(ShardedMonitorServiceTest, BudgetedTickDrivesAllShardsToCompletion) {
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    for (size_t budget : {size_t{0}, size_t{2}, size_t{32}}) {
-      ShardedMonitorService::Options options;
-      options.num_shards = shards;
-      ShardedMonitorService service(stack_, options);
-      const auto reference = ReferencePerRun();
-      const size_t kSessions = 64;
-      std::vector<ShardedMonitorService::SessionId> ids;
-      size_t total_obs = 0;
-      for (size_t s = 0; s < kSessions; ++s) {
-        auto id = service.OpenSession(&(*runs_)[s % runs_->size()]);
-        ASSERT_TRUE(id.ok());
-        ids.push_back(*id);
-        total_obs += (*runs_)[s % runs_->size()].observations.size();
-      }
-      size_t guard = 0;
-      while (service.Tick(budget) > 0) {
-        ASSERT_LT(++guard, 100000u) << "tick loop did not converge";
-      }
-      const auto stats = service.GetStats();
-      EXPECT_EQ(stats.total.observations_scored, total_obs)
-          << shards << " shards, budget " << budget;
-      for (size_t s = 0; s < kSessions; ++s) {
-        EXPECT_TRUE(*service.Done(ids[s]));
-        EXPECT_EQ(*service.Progress(ids[s]),
-                  reference[s % runs_->size()].back());
-        ASSERT_TRUE(service.CloseSession(ids[s]).ok());
-      }
-    }
-  }
 }
 
 TEST_F(ShardedMonitorServiceTest, SwapLandsOnAllShardsInOneGenerationStep) {
@@ -329,9 +253,15 @@ TEST_F(ShardedMonitorServiceTest, SwapLandsOnAllShardsInOneGenerationStep) {
   // Sessions opened after the swaps decide against the final snapshot.
   ProgressMonitor swapped(&stack_->static_selector,
                           &stack_->dynamic_selector);
-  const std::vector<const QueryRunResult*> one{&(*runs_)[0]};
-  EXPECT_EQ(service.ReplayAll(one)[0],
-            swapped.ReplayQueryProgress((*runs_)[0]));
+  auto id = service.OpenSession(&(*runs_)[0]);
+  ASSERT_TRUE(id.ok());
+  std::vector<double> series;
+  for (auto step = service.Advance(*id); step.ok();
+       step = service.Advance(*id)) {
+    series.push_back(*step);
+  }
+  EXPECT_EQ(series, swapped.ReplayQueryProgress((*runs_)[0]));
+  ASSERT_TRUE(service.CloseSession(*id).ok());
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
 // Serving-layer tests: binary snapshot round-trips (bit-exact vs. the text
 // serialization path), corruption/truncation rejection, and MonitorService
-// concurrency — replayed progress series must be bit-identical to the
-// sequential ProgressMonitor at any thread count.
+// concurrency — sessions driven from any number of threads must replay
+// progress series bit-identical to the sequential ProgressMonitor.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "serving/monitor_service.h"
 #include "serving/snapshot.h"
@@ -16,6 +15,7 @@
 namespace rpe {
 namespace {
 
+using ::rpe::testing::DriveSessions;
 using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::RandomRecords;
 using ::rpe::testing::TempPath;
@@ -387,16 +387,14 @@ TEST_F(MonitorServiceTest, ConcurrentReplayIsBitIdenticalAtAnyThreadCount) {
   const auto session_runs = SessionRuns(64);
   const auto expected = SequentialSeries(session_runs);
 
-  for (int threads : {1, 4}) {
-    ThreadPool pool(threads);
-    MonitorService::Options options;
-    options.pool = &pool;
-    MonitorService service(stack_, options);
-    const auto series = service.ReplayAll(session_runs);
-    ASSERT_EQ(series.size(), expected.size());
-    for (size_t s = 0; s < series.size(); ++s) {
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    MonitorService service(stack_);
+    auto series = DriveSessions(&service, session_runs, threads);
+    ASSERT_TRUE(series.ok()) << series.status().ToString();
+    ASSERT_EQ(series->size(), expected.size());
+    for (size_t s = 0; s < series->size(); ++s) {
       // Bit-identical, not approximately equal.
-      EXPECT_EQ(series[s], expected[s])
+      EXPECT_EQ((*series)[s], expected[s])
           << "session " << s << " at " << threads << " threads";
     }
     const auto stats = service.GetStats();
@@ -435,33 +433,6 @@ TEST_F(MonitorServiceTest, SessionAdvanceMatchesSequentialReplay) {
   EXPECT_EQ(stats.observations_scored, expected.size());
 }
 
-TEST_F(MonitorServiceTest, TickAdvancesEverySessionOncePerCall) {
-  MonitorService service(stack_);
-  std::vector<MonitorService::SessionId> ids;
-  size_t total_obs = 0;
-  for (const QueryRunResult& run : *runs_) {
-    auto id = service.OpenSession(&run);
-    ASSERT_TRUE(id.ok());
-    ids.push_back(*id);
-    total_obs += run.observations.size();
-  }
-  size_t ticks = 0;
-  while (service.Tick() > 0) ++ticks;
-  // The longest run bounds the tick count (its last tick returns 0 left).
-  size_t longest = 0;
-  for (const QueryRunResult& run : *runs_) {
-    longest = std::max(longest, run.observations.size());
-  }
-  EXPECT_EQ(ticks, longest - 1);
-  EXPECT_EQ(service.GetStats().observations_scored, total_obs);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_TRUE(*service.Done(ids[i]));
-    const auto expected = SequentialSeries({&(*runs_)[i]});
-    EXPECT_EQ(*service.Progress(ids[i]), expected[0].back());
-    ASSERT_TRUE(service.CloseSession(ids[i]).ok());
-  }
-}
-
 TEST_F(MonitorServiceTest, SwapModelsKeepsOpenSessionsPinned) {
   auto other = std::make_shared<const SelectorStack>(
       TrainSmallStack(RandomRecords(80, 23), 41));
@@ -482,9 +453,16 @@ TEST_F(MonitorServiceTest, SwapModelsKeepsOpenSessionsPinned) {
   ASSERT_TRUE(service.CloseSession(*id).ok());
 
   // New sessions decide against the swapped-in models.
-  const std::vector<const QueryRunResult*> one{&run};
   ProgressMonitor swapped(&other->static_selector, &other->dynamic_selector);
-  EXPECT_EQ(service.ReplayAll(one)[0], swapped.ReplayQueryProgress(run));
+  auto fresh = service.OpenSession(&run);
+  ASSERT_TRUE(fresh.ok());
+  std::vector<double> series;
+  for (auto step = service.Advance(*fresh); step.ok();
+       step = service.Advance(*fresh)) {
+    series.push_back(*step);
+  }
+  EXPECT_EQ(series, swapped.ReplayQueryProgress(run));
+  ASSERT_TRUE(service.CloseSession(*fresh).ok());
 }
 
 TEST_F(MonitorServiceTest, InvalidSessionsAreErrors) {

@@ -1,7 +1,7 @@
 // Shared fixtures for the test suite: a tiny deterministic catalog with
 // known contents so operator results can be checked against brute force,
-// the executor's reference sort order, random records, and per-process
-// temp paths.
+// the executor's reference sort order, random records, per-process temp
+// paths, and a multi-threaded session driver for the serving tier.
 #pragma once
 
 #include <unistd.h>
@@ -11,8 +11,12 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/logging.h"
+#include "common/status.h"
+#include "exec/executor.h"
 #include "selection/record.h"
 #include "storage/catalog.h"
 #include "storage/datagen.h"
@@ -26,6 +30,46 @@ inline std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() /
           (std::to_string(::getpid()) + "_" + name))
       .string();
+}
+
+/// Drive one monitoring session per entry of `runs` through `service`'s
+/// session API, the way the TCP front-end does: OpenSession, Advance until
+/// the replay is exhausted, CloseSession. Session i runs on std::thread
+/// i % threads; out[i] is its progress series. Works for MonitorService
+/// and ShardedMonitorService. The first error any thread hits is returned.
+template <typename Service>
+Result<std::vector<std::vector<double>>> DriveSessions(
+    Service* service, const std::vector<const QueryRunResult*>& runs,
+    size_t threads) {
+  std::vector<std::vector<double>> series(runs.size());
+  std::vector<Status> errors(threads);
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      for (size_t i = t; i < runs.size() && errors[t].ok(); i += threads) {
+        auto id = service->OpenSession(runs[i]);
+        if (!id.ok()) {
+          errors[t] = id.status();
+          return;
+        }
+        while (true) {
+          auto progress = service->Advance(*id);
+          if (!progress.ok()) {
+            if (progress.status().code() != StatusCode::kOutOfRange) {
+              errors[t] = progress.status();
+            }
+            break;
+          }
+          series[i].push_back(*progress);
+        }
+        const Status closed = service->CloseSession(*id);
+        if (errors[t].ok()) errors[t] = closed;
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (const Status& st : errors) RPE_RETURN_NOT_OK(st);
+  return series;
 }
 
 /// `rows` in the executor's sort order (key column, then the full row),

@@ -698,6 +698,107 @@ TEST_F(WireLoopbackTest, BatchedAdvanceMatchesSingleStepsAndReconciles) {
   server.Stop();
 }
 
+TEST_F(WireLoopbackTest, PipelinedFramesAnswerInFifoOrderPerConnection) {
+  ShardedMonitorService::Options options;
+  options.num_shards = 2;
+  ShardedMonitorService service(stack_, options);
+  TcpServer::Options server_options;
+  TcpServer server(&service, RunPtrs(), server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  ProgressMonitor sequential(&stack_->static_selector,
+                             &stack_->dynamic_selector);
+  constexpr size_t kConns = 2;
+  constexpr uint32_t kFirstSteps = 3;
+  TestClient clients[kConns];
+  std::vector<double> reference[kConns];
+  uint64_t sessions[kConns] = {};
+  uint64_t total_steps = 0;
+  for (size_t c = 0; c < kConns; ++c) {
+    ASSERT_TRUE(clients[c].Connect(server.port()));
+    reference[c] = sequential.ReplayQueryProgress((*runs_)[c]);
+    ASSERT_GT(reference[c].size(), kFirstSteps);
+    total_steps += reference[c].size();
+    auto opened_frame =
+        clients[c].Call(EncodeOpenRequest({static_cast<uint32_t>(c)}));
+    ASSERT_TRUE(opened_frame.ok() && opened_frame->ok());
+    auto opened = DecodeOpenResponse(opened_frame->payload);
+    ASSERT_TRUE(opened.ok());
+    sessions[c] = opened->session_id;
+  }
+
+  // Each connection pipelines its whole conversation in one send, and
+  // both sends land before either reply is read, so the server decodes
+  // several Advance frames from one read.
+  for (size_t c = 0; c < kConns; ++c) {
+    std::string burst = EncodeAdvanceRequest({sessions[c], kFirstSteps});
+    burst += EncodeProgressRequest({sessions[c]});
+    burst += EncodeAdvanceRequest({sessions[c], kMaxAdvanceSteps});
+    burst += EncodeProgressRequest({sessions[c]});
+    burst += EncodeCloseRequest({sessions[c]});
+    ASSERT_TRUE(clients[c].SendRaw(burst));
+  }
+
+  auto bits_equal = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  for (size_t c = 0; c < kConns; ++c) {
+    const std::vector<double>& ref = reference[c];
+    std::vector<WireFrame> answers;
+    for (int i = 0; i < 5; ++i) {
+      auto frame = clients[c].Receive();
+      ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+      ASSERT_TRUE(frame->ok()) << frame->ToStatus().ToString();
+      answers.push_back(std::move(*frame));
+    }
+    // FIFO: the answers come back in request order.
+    ASSERT_EQ(answers[0].type, MsgType::kAdvance);
+    ASSERT_EQ(answers[1].type, MsgType::kProgress);
+    ASSERT_EQ(answers[2].type, MsgType::kAdvance);
+    ASSERT_EQ(answers[3].type, MsgType::kProgress);
+    ASSERT_EQ(answers[4].type, MsgType::kClose);
+
+    auto first = DecodeAdvanceResponse(answers[0].payload);
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(first->steps, kFirstSteps);
+    EXPECT_EQ(first->done, 0);
+    EXPECT_TRUE(bits_equal(first->progress, ref[kFirstSteps - 1]));
+    auto mid = DecodeProgressResponse(answers[1].payload);
+    ASSERT_TRUE(mid.ok());
+    EXPECT_EQ(mid->done, 0);
+    EXPECT_TRUE(bits_equal(mid->progress, ref[kFirstSteps - 1]));
+
+    auto rest = DecodeAdvanceResponse(answers[2].payload);
+    ASSERT_TRUE(rest.ok());
+    EXPECT_EQ(rest->steps, ref.size() - kFirstSteps);
+    EXPECT_EQ(rest->done, 1);
+    EXPECT_TRUE(bits_equal(rest->progress, ref.back()));
+    auto last = DecodeProgressResponse(answers[3].payload);
+    ASSERT_TRUE(last.ok());
+    EXPECT_EQ(last->done, 1);
+    EXPECT_TRUE(bits_equal(last->progress, ref.back()));
+  }
+
+  // Stats reconcile with exactly what the two conversations did.
+  auto stats_frame = clients[0].Call(EncodeStatsRequest());
+  ASSERT_TRUE(stats_frame.ok() && stats_frame->ok());
+  auto stats = DecodeStatsResponse(stats_frame->payload);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->sessions_opened, kConns);
+  EXPECT_EQ(stats->sessions_completed, kConns);
+  EXPECT_EQ(stats->wire_sessions_opened, kConns);
+  EXPECT_EQ(stats->wire_sessions_closed, kConns);
+  EXPECT_EQ(stats->observations_scored, total_steps);
+  EXPECT_EQ(stats->advance_steps, total_steps);
+  // Per connection: 1 open + 5 pipelined frames; plus this Stats request
+  // (counted when decoded, before its own answer is sent).
+  EXPECT_EQ(stats->frames_received, kConns * 6 + 1);
+  EXPECT_EQ(stats->frames_sent, kConns * 6);
+  EXPECT_EQ(stats->protocol_errors, 0u);
+  EXPECT_EQ(stats->requests_shed, 0u);
+  server.Stop();
+}
+
 TEST_F(WireLoopbackTest, ConcurrentClientsAcrossShardsStayIsolated) {
   ShardedMonitorService::Options options;
   options.num_shards = 4;

@@ -23,40 +23,25 @@
 //       Verify + describe a snapshot (either kind); optionally convert a
 //       record snapshot back to CSV.
 //
-//   rpe_cli serve-replay --kind tpch --queries 60 [--sessions 64]
-//                        [--shards 4] [--model stack.rpsn] [--mmap]
-//                        [--trees 50] [--verify]
-//       Run a workload, then replay every query concurrently through the
-//       (optionally sharded) monitor tier and print the serving stats
-//       (p50/p95 replay latency, decisions/sec). --mmap loads --model
-//       zero-copy through the snapshot arena.
-//
 //   rpe_cli serve-tcp --kind tpch --queries 40 [--port 0] [--shards 4]
 //                     [--io-threads 0] [--model stack.rpsn] [--mmap]
-//                     [--trees 50] [--metrics-port 0] [--trace-out t.json]
-//                     [--slow-ms 50]
+//                     [--trees 50] [--retrain-every 48]
+//                     [--snapshot-out stack.rpsn] [--metrics-port 0]
+//                     [--trace-out t.json] [--slow-ms 50]
 //       Run a workload, then serve it over TCP (loopback) with the epoll
-//       front-end: Open/Advance/Progress/Close/Stats over the
-//       length-prefixed wire protocol (docs/NETWORK.md). Prints
-//       "listening on 127.0.0.1:<port>" once ready (--port 0 picks an
-//       ephemeral port), serves until SIGTERM/SIGINT, then drains, prints
-//       the serving stats, and exits 0. Drive it with rpe_loadgen.
+//       front-end: Open/Advance/Progress/Close/Stats plus the ingest
+//       frames over the length-prefixed wire protocol (docs/NETWORK.md).
+//       Ingested records retrain the selector stack in the background and
+//       hot-swap it into every shard. --mmap loads --model zero-copy
+//       through the snapshot arena. Prints "listening on
+//       127.0.0.1:<port>" once ready (--port 0 picks an ephemeral port),
+//       serves until SIGTERM/SIGINT, then drains, prints the serving
+//       stats, and exits 0. Drive it with rpe_loadgen.
 //       --metrics-port opens a loopback HTTP /metrics listener
 //       (Prometheus text, "metrics on 127.0.0.1:<port>" printed at
 //       startup); --trace-out writes a Chrome trace-event JSON dump at
 //       exit; --slow-ms logs any request slower than the threshold with a
 //       per-span breakdown (see docs/OBSERVABILITY.md).
-//
-//   rpe_cli serve-online --kind tpch --queries 40 [--sessions 64]
-//                        [--shards 4] [--model stack.rpsn] [--mmap]
-//                        [--retrain-every 48] [--queue-cap 1024]
-//                        [--tick-budget 16] [--snapshot-out stack.rpsn]
-//                        [--verify]
-//       The full online-learning loop: replay sessions tick concurrently
-//       while completed records stream into the ingest queue; a
-//       background TrainerLoop retrains the selector stack and hot-swaps
-//       it into every shard mid-replay. Prints serving + ingest stats;
-//       fails if no retrain was published.
 //
 // See docs/CLI.md for the full flag reference. All commands accept
 // --threads N to size the training/selection worker pool (default:
@@ -65,11 +50,15 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -84,7 +73,6 @@
 #include "obs/trace.h"
 #include "serving/metrics_export.h"
 #include "serving/mmap_arena.h"
-#include "serving/monitor_service.h"
 #include "serving/server.h"
 #include "serving/shard_router.h"
 #include "serving/snapshot.h"
@@ -136,27 +124,9 @@ std::vector<size_t> ParsePool(const std::string& s) {
   return PoolSix();
 }
 
-/// Shared workload flags (kind/name/scale/zipf/tuning/queries/seed);
-/// per-command defaults differ only in scale and query count.
-Result<WorkloadConfig> ParseWorkloadFlags(
-    const std::map<std::string, std::string>& flags,
-    const std::string& default_scale, const std::string& default_queries) {
-  WorkloadConfig config;
-  RPE_ASSIGN_OR_RETURN(config.kind, ParseKind(FlagOr(flags, "kind", "tpch")));
-  config.name = FlagOr(flags, "name", FlagOr(flags, "kind", "tpch"));
-  config.scale = std::stod(FlagOr(flags, "scale", default_scale));
-  config.zipf = std::stod(FlagOr(flags, "zipf", "1.0"));
-  RPE_ASSIGN_OR_RETURN(config.tuning,
-                       ParseTuning(FlagOr(flags, "tuning", "partial")));
-  config.num_queries = static_cast<size_t>(
-      std::stoul(FlagOr(flags, "queries", default_queries)));
-  config.seed = std::stoull(FlagOr(flags, "seed", "1"));
-  return config;
-}
-
-/// Strictly-parsed integer flag in [min, max]: a typo'd or out-of-range
-/// value must fail loudly with a hint, not std::stoul its way into a
-/// nonsense server configuration.
+/// Strictly-parsed integer flag in [min, max]: a typo'd, negative or
+/// out-of-range value must fail loudly with a hint, not std::stoul its way
+/// into a nonsense configuration.
 Result<size_t> ParseSizeFlag(const std::map<std::string, std::string>& flags,
                              const std::string& key,
                              const std::string& fallback, size_t min,
@@ -165,7 +135,8 @@ Result<size_t> ParseSizeFlag(const std::map<std::string, std::string>& flags,
   size_t value = 0;
   size_t consumed = 0;
   try {
-    value = std::stoul(raw, &consumed);
+    // std::stoul wraps a leading minus sign around instead of failing.
+    if (raw.find('-') == std::string::npos) value = std::stoul(raw, &consumed);
   } catch (const std::exception&) {
     consumed = 0;
   }
@@ -176,6 +147,54 @@ Result<size_t> ParseSizeFlag(const std::map<std::string, std::string>& flags,
         "]); see docs/CLI.md or rpe_cli --help");
   }
   return value;
+}
+
+/// Strictly-parsed finite floating-point flag in [min, max] (the whole
+/// value must parse; inf and nan are rejected).
+Result<double> ParseDoubleFlag(const std::map<std::string, std::string>& flags,
+                               const std::string& key,
+                               const std::string& fallback, double min,
+                               double max) {
+  const std::string raw = FlagOr(flags, key, fallback);
+  char* end = nullptr;
+  const double value = std::strtod(raw.c_str(), &end);
+  if (raw.empty() || end != raw.c_str() + raw.size() ||
+      !std::isfinite(value) || value < min || value > max) {
+    std::ostringstream msg;
+    msg << "invalid --" << key << " value '" << raw
+        << "' (expected a finite number in [" << min << ", " << max
+        << "]); see docs/CLI.md or rpe_cli --help";
+    return Status::InvalidArgument(msg.str());
+  }
+  return value;
+}
+
+/// --trees: boosting iterations per candidate model (0 = bias only).
+Result<size_t> ParseTrees(const std::map<std::string, std::string>& flags,
+                          const std::string& fallback) {
+  return ParseSizeFlag(flags, "trees", fallback, 0, 100000);
+}
+
+/// Shared workload flags (kind/name/scale/zipf/tuning/queries/seed);
+/// per-command defaults differ only in scale and query count.
+Result<WorkloadConfig> ParseWorkloadFlags(
+    const std::map<std::string, std::string>& flags,
+    const std::string& default_scale, const std::string& default_queries) {
+  WorkloadConfig config;
+  RPE_ASSIGN_OR_RETURN(config.kind, ParseKind(FlagOr(flags, "kind", "tpch")));
+  config.name = FlagOr(flags, "name", FlagOr(flags, "kind", "tpch"));
+  RPE_ASSIGN_OR_RETURN(config.scale,
+                       ParseDoubleFlag(flags, "scale", default_scale, 0, 1e4));
+  RPE_ASSIGN_OR_RETURN(config.zipf,
+                       ParseDoubleFlag(flags, "zipf", "1.0", 0, 1e3));
+  RPE_ASSIGN_OR_RETURN(config.tuning,
+                       ParseTuning(FlagOr(flags, "tuning", "partial")));
+  RPE_ASSIGN_OR_RETURN(config.num_queries,
+                       ParseSizeFlag(flags, "queries", default_queries, 0,
+                                     size_t{1} << 24));
+  RPE_ASSIGN_OR_RETURN(config.seed,
+                       ParseSizeFlag(flags, "seed", "1", 0, SIZE_MAX));
+  return config;
 }
 
 bool IsSnapshotPath(const std::string& path) {
@@ -195,7 +214,7 @@ int CmdRun(const std::map<std::string, std::string>& flags) {
                                    /*default_queries=*/"200");
   if (!config.ok()) {
     std::cerr << config.status().ToString() << "\n";
-    return 1;
+    return 2;
   }
 
   RunOptions options;
@@ -221,13 +240,18 @@ int CmdRun(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdTrain(const std::map<std::string, std::string>& flags) {
+  auto trees = ParseTrees(flags, "200");
+  if (!trees.ok()) {
+    std::cerr << trees.status().ToString() << "\n";
+    return 2;
+  }
   auto records = LoadRecordsAuto(FlagOr(flags, "records", "records.csv"));
   if (!records.ok()) {
     std::cerr << records.status().ToString() << "\n";
     return 1;
   }
   MartParams params = EstimatorSelector::DefaultParams();
-  params.num_trees = std::stoi(FlagOr(flags, "trees", "200"));
+  params.num_trees = static_cast<int>(*trees);
   const SelectorStack stack = SelectorStack::Train(
       *records, ParsePool(FlagOr(flags, "pool", "six")), params);
 
@@ -245,6 +269,11 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdEvaluate(const std::map<std::string, std::string>& flags) {
+  auto trees = ParseTrees(flags, "100");
+  if (!trees.ok()) {
+    std::cerr << trees.status().ToString() << "\n";
+    return 2;
+  }
   auto train = LoadRecordsAuto(FlagOr(flags, "train", "train.csv"));
   auto test = LoadRecordsAuto(FlagOr(flags, "test", "test.csv"));
   if (!train.ok() || !test.ok()) {
@@ -254,7 +283,7 @@ int CmdEvaluate(const std::map<std::string, std::string>& flags) {
   const auto pool = ParsePool(FlagOr(flags, "pool", "six"));
   const bool dynamic = flags.count("dynamic") > 0;
   MartParams params = EstimatorSelector::DefaultParams();
-  params.num_trees = std::stoi(FlagOr(flags, "trees", "100"));
+  params.num_trees = static_cast<int>(*trees);
   const auto eval = TrainAndEvaluate(*train, *test, pool, dynamic, params);
 
   TablePrinter table({"Policy", "avg L1", "avg L2", "% optimal", ">5x"});
@@ -367,9 +396,8 @@ int CmdSnapshotLoad(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-/// Build + execute a serving workload, keeping every successful run alive
-/// (sessions replay against them) and its featurized records. Shared by
-/// serve-replay and serve-online.
+/// Build + execute the serving workload, keeping every successful run
+/// alive (sessions replay against them) and its featurized records.
 Status ExecuteServingWorkload(const WorkloadConfig& config,
                               std::vector<OwnedRun>* runs,
                               std::vector<PipelineRecord>* records) {
@@ -423,29 +451,21 @@ Result<std::shared_ptr<const SelectorStack>> PreloadModel(
 }
 
 /// Initial serving stack: the preloaded --model when given, else trained
-/// on `records` with --trees trees.
+/// on `records` with `num_trees` trees.
 std::shared_ptr<const SelectorStack> InitialStack(
     const std::map<std::string, std::string>& flags,
     std::shared_ptr<const SelectorStack> preloaded,
-    const std::vector<PipelineRecord>& records,
-    const std::string& default_trees) {
+    const std::vector<PipelineRecord>& records, int num_trees) {
   if (preloaded != nullptr) return preloaded;
   MartParams params = EstimatorSelector::DefaultParams();
-  params.num_trees = std::stoi(FlagOr(flags, "trees", default_trees));
+  params.num_trees = num_trees;
   std::cerr << "training selector stack on " << records.size()
             << " records ...\n";
   return std::make_shared<const SelectorStack>(SelectorStack::Train(
       records, ParsePool(FlagOr(flags, "pool", "six")), params));
 }
 
-/// Shared --shards parsing for the serve commands (1..1024; powers of two
-/// route cheapest but are not required).
-Result<size_t> ParseShards(const std::map<std::string, std::string>& flags) {
-  return ParseSizeFlag(flags, "shards", "1", 1, 1024);
-}
-
-/// The single definition of the --mmap flag contract, shared by both
-/// serve commands.
+/// The --mmap flag contract: there is nothing to map without --model.
 Status CheckMmapFlags(const std::map<std::string, std::string>& flags) {
   if (flags.count("mmap") > 0 && flags.count("model") == 0) {
     return Status::InvalidArgument(
@@ -455,84 +475,6 @@ Status CheckMmapFlags(const std::map<std::string, std::string>& flags) {
   return Status::OK();
 }
 
-int CmdServeReplay(const std::map<std::string, std::string>& flags) {
-  auto parsed = ParseWorkloadFlags(flags, /*default_scale=*/"5",
-                                   /*default_queries=*/"60");
-  if (!parsed.ok()) {
-    std::cerr << parsed.status().ToString() << "\n";
-    return 1;
-  }
-  const WorkloadConfig& config = *parsed;
-
-  // Flag validation happens before the (expensive) workload run: a typo'd
-  // serve configuration must fail in milliseconds.
-  auto shards = ParseShards(flags);
-  auto sessions_flag = ParseSizeFlag(flags, "sessions", "64", 1, 1 << 20);
-  const Status mmap_ok = CheckMmapFlags(flags);
-  for (const Status& st :
-       {shards.status(), sessions_flag.status(), mmap_ok}) {
-    if (!st.ok()) {
-      std::cerr << st.ToString() << "\n";
-      return 2;
-    }
-  }
-  auto preloaded = PreloadModel(flags);
-  if (!preloaded.ok()) {
-    std::cerr << preloaded.status().ToString() << "\n";
-    return 1;
-  }
-
-  std::vector<OwnedRun> runs;
-  std::vector<PipelineRecord> records;
-  const Status executed = ExecuteServingWorkload(config, &runs, &records);
-  if (!executed.ok()) {
-    std::cerr << executed.ToString() << "\n";
-    return 1;
-  }
-
-  std::shared_ptr<const SelectorStack> stack =
-      InitialStack(flags, *preloaded, records, /*default_trees=*/"50");
-
-  // One session per requested slot, cycling the executed runs.
-  const size_t num_sessions = *sessions_flag;
-  std::vector<const QueryRunResult*> session_runs;
-  session_runs.reserve(num_sessions);
-  for (size_t s = 0; s < num_sessions; ++s) {
-    session_runs.push_back(&runs[s % runs.size()].result);
-  }
-
-  ShardedMonitorService::Options service_options;
-  service_options.num_shards = *shards;
-  ShardedMonitorService service(stack, service_options);
-  const auto series = service.ReplayAll(session_runs);
-
-  if (flags.count("verify") > 0) {
-    // Every replica of a run must match the sequential monitor bit for bit.
-    ProgressMonitor sequential(&stack->static_selector,
-                               &stack->dynamic_selector);
-    for (size_t s = 0; s < session_runs.size(); ++s) {
-      const auto expected = sequential.ReplayQueryProgress(*session_runs[s]);
-      if (series[s] != expected) {
-        std::cerr << "VERIFY FAILED: session " << s
-                  << " diverges from the sequential replay\n";
-        return 1;
-      }
-    }
-    std::cout << "verify: " << session_runs.size()
-              << " concurrent sessions bit-identical to sequential replay\n";
-  }
-
-  // The exit table is registry-driven (one formatter for every serve-*
-  // command): the rows ARE the samples a /metrics scrape would export.
-  obs::MetricsRegistry registry;
-  RegisterServiceCollector(&registry, &service);
-  RegisterSimdCollector(&registry);
-  TablePrinter table = MetricsTable(registry.Collect());
-  table.AddRow({"simd", simd::KernelReport()});
-  table.Print();
-  return 0;
-}
-
 /// SIGTERM/SIGINT land here; the serve-tcp main loop polls the flag and
 /// runs the (non-async-signal-safe) drain outside the handler.
 volatile std::sig_atomic_t g_serve_tcp_stop = 0;
@@ -540,17 +482,18 @@ volatile std::sig_atomic_t g_serve_tcp_stop = 0;
 void ServeTcpSignalHandler(int) { g_serve_tcp_stop = 1; }
 
 int CmdServeTcp(const std::map<std::string, std::string>& flags) {
+  // Flag validation happens before the (expensive) workload run: a typo'd
+  // serve configuration must fail in milliseconds.
   auto parsed = ParseWorkloadFlags(flags, /*default_scale=*/"5",
                                    /*default_queries=*/"40");
   if (!parsed.ok()) {
     std::cerr << parsed.status().ToString() << "\n";
-    return 1;
+    return 2;
   }
   const WorkloadConfig& config = *parsed;
-
-  // Flag validation happens before the (expensive) workload run: a typo'd
-  // serve configuration must fail in milliseconds.
-  auto shards = ParseShards(flags);
+  // Powers of two route cheapest but are not required.
+  auto shards = ParseSizeFlag(flags, "shards", "1", 1, 1024);
+  auto trees = ParseTrees(flags, "50");
   auto port = ParseSizeFlag(flags, "port", "0", 0, 65535);
   auto io_threads = ParseSizeFlag(flags, "io-threads", "0", 0, 256);
   auto queue_cap = ParseSizeFlag(flags, "queue-cap", "1024", 1, 1 << 24);
@@ -574,7 +517,7 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
   auto slow_ms = ParseSizeFlag(flags, "slow-ms", "0", 0, 1 << 24);
   const Status mmap_ok = CheckMmapFlags(flags);
   for (const Status& st :
-       {shards.status(), port.status(), io_threads.status(),
+       {shards.status(), trees.status(), port.status(), io_threads.status(),
         queue_cap.status(), retrain_every.status(), corpus_cap.status(),
         max_inflight.status(), conn_inflight.status(),
         ingest_watermark.status(), metrics_port.status(),
@@ -599,7 +542,7 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
   }
 
   std::shared_ptr<const SelectorStack> stack =
-      InitialStack(flags, *preloaded, records, /*default_trees=*/"50");
+      InitialStack(flags, *preloaded, records, static_cast<int>(*trees));
 
   ShardedMonitorService::Options service_options;
   service_options.num_shards = *shards;
@@ -616,8 +559,7 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
       trainer_options.min_corpus, std::max<size_t>(records.size(), 1));
   trainer_options.pool = ParsePool(FlagOr(flags, "pool", "six"));
   trainer_options.params = EstimatorSelector::DefaultParams();
-  trainer_options.params.num_trees =
-      std::stoi(FlagOr(flags, "trees", "50"));
+  trainer_options.params.num_trees = static_cast<int>(*trees);
   trainer_options.snapshot_path = FlagOr(flags, "snapshot-out", "");
   TrainerLoop trainer(&queue, &service, trainer_options);
   trainer.SeedCorpus(records);
@@ -702,162 +644,6 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdServeOnline(const std::map<std::string, std::string>& flags) {
-  auto parsed = ParseWorkloadFlags(flags, /*default_scale=*/"5",
-                                   /*default_queries=*/"40");
-  if (!parsed.ok()) {
-    std::cerr << parsed.status().ToString() << "\n";
-    return 1;
-  }
-  const WorkloadConfig& config = *parsed;
-
-  // Flag validation happens before the (expensive) workload run: a typo'd
-  // serve configuration must fail in milliseconds.
-  auto shards = ParseShards(flags);
-  auto sessions_flag = ParseSizeFlag(flags, "sessions", "64", 1, 1 << 20);
-  auto queue_cap = ParseSizeFlag(flags, "queue-cap", "1024", 1, 1 << 24);
-  auto retrain_every =
-      ParseSizeFlag(flags, "retrain-every", "48", 0, 1 << 24);
-  // TrainerLoop requires max_corpus >= min_corpus (at most 16 here).
-  auto corpus_cap = ParseSizeFlag(flags, "corpus-cap", "4096", 16, 1 << 24);
-  auto tick_budget = ParseSizeFlag(flags, "tick-budget", "0", 0, 1 << 24);
-  auto ingest_per_tick =
-      ParseSizeFlag(flags, "ingest-per-tick", "4", 0, 1 << 20);
-  const Status mmap_ok = CheckMmapFlags(flags);
-  for (const Status& st :
-       {shards.status(), sessions_flag.status(), queue_cap.status(),
-        retrain_every.status(), corpus_cap.status(), tick_budget.status(),
-        ingest_per_tick.status(), mmap_ok}) {
-    if (!st.ok()) {
-      std::cerr << st.ToString() << "\n";
-      return 2;
-    }
-  }
-  auto preloaded = PreloadModel(flags);
-  if (!preloaded.ok()) {
-    std::cerr << preloaded.status().ToString() << "\n";
-    return 1;
-  }
-
-  std::vector<OwnedRun> runs;
-  std::vector<PipelineRecord> records;
-  const Status executed = ExecuteServingWorkload(config, &runs, &records);
-  if (!executed.ok()) {
-    std::cerr << executed.ToString() << "\n";
-    return 1;
-  }
-
-  // The first half of the records seeds the initial stack + corpus; the
-  // whole set then cycles through the ingest queue during replay,
-  // standing in for the record stream a live system would emit.
-  std::vector<PipelineRecord> seed(records.begin(),
-                                   records.begin() + records.size() / 2);
-  if (seed.empty()) seed = records;
-  std::shared_ptr<const SelectorStack> initial =
-      InitialStack(flags, *preloaded, seed, /*default_trees=*/"20");
-
-  ShardedMonitorService::Options service_options;
-  service_options.num_shards = *shards;
-  ShardedMonitorService service(initial, service_options);
-  RecordIngestQueue queue(*queue_cap);
-  TrainerLoop::Options trainer_options;
-  trainer_options.retrain_min_records = *retrain_every;
-  trainer_options.max_corpus = *corpus_cap;
-  trainer_options.min_corpus = std::min<size_t>(
-      trainer_options.min_corpus, std::max<size_t>(seed.size(), 1));
-  trainer_options.pool = ParsePool(FlagOr(flags, "pool", "six"));
-  trainer_options.params = EstimatorSelector::DefaultParams();
-  trainer_options.params.num_trees =
-      std::stoi(FlagOr(flags, "trees", "20"));
-  trainer_options.snapshot_path = FlagOr(flags, "snapshot-out", "");
-  TrainerLoop trainer(&queue, &service, trainer_options);
-  trainer.SeedCorpus(seed);
-  service.SetIngestStatsProvider([&trainer] { return trainer.GetStats(); });
-  trainer.Start();
-
-  // Sessions opened now pin generation 0, so their replay must stay
-  // bit-identical to a sequential replay of the initial stack no matter
-  // how many swaps land mid-replay.
-  const size_t num_sessions = *sessions_flag;
-  std::vector<ShardedMonitorService::SessionId> sessions;
-  std::vector<const QueryRunResult*> session_runs;
-  for (size_t s = 0; s < num_sessions; ++s) {
-    const QueryRunResult* run = &runs[s % runs.size()].result;
-    auto id = service.OpenSession(run);
-    if (!id.ok()) {
-      std::cerr << id.status().ToString() << "\n";
-      return 1;
-    }
-    sessions.push_back(*id);
-    session_runs.push_back(run);
-  }
-
-  // Replay + ingest run concurrently with the trainer: each budgeted tick
-  // advances sessions fairly while fresh records stream into the queue.
-  size_t stream_next = 0;
-  size_t ticks = 0;
-  size_t remaining = sessions.size();
-  while (remaining > 0) {
-    remaining = service.Tick(*tick_budget);
-    ++ticks;
-    for (size_t i = 0; i < *ingest_per_tick; ++i) {
-      queue.Push(records[stream_next++ % records.size()]);
-    }
-  }
-  queue.Close();
-  trainer.Stop();  // drains the tail of the queue; may publish once more
-
-  int rc = 0;
-  if (flags.count("verify") > 0) {
-    ProgressMonitor sequential(&initial->static_selector,
-                               &initial->dynamic_selector);
-    // Sessions cycle a small run set: replay each distinct run once.
-    std::map<const QueryRunResult*, double> expected_final;
-    for (const QueryRunResult* run : session_runs) {
-      if (expected_final.count(run) == 0) {
-        expected_final[run] = sequential.ReplayQueryProgress(*run).back();
-      }
-    }
-    for (size_t s = 0; s < sessions.size(); ++s) {
-      const double expected = expected_final.at(session_runs[s]);
-      const auto progress = service.Progress(sessions[s]);
-      if (!progress.ok() || *progress != expected) {
-        std::cerr << "VERIFY FAILED: session " << s
-                  << " final progress diverges from the pinned-snapshot "
-                     "sequential replay\n";
-        rc = 1;
-      }
-    }
-    if (rc == 0) {
-      std::cout << "verify: " << sessions.size()
-                << " sessions bit-identical to their pinned generation-0 "
-                   "snapshot across "
-                << service.model_generation() << " hot swaps\n";
-    }
-  }
-  for (ShardedMonitorService::SessionId id : sessions) {
-    const Status closed = service.CloseSession(id);
-    if (!closed.ok()) std::cerr << closed.ToString() << "\n";
-  }
-
-  const ShardedMonitorService::Stats stats = service.GetStats();
-  // Registry-driven exit table (same formatter as serve-replay /
-  // serve-tcp); "simd" and "ticks" are CLI-local rows, not metrics.
-  obs::MetricsRegistry registry;
-  RegisterServiceCollector(&registry, &service);
-  TablePrinter table = MetricsTable(registry.Collect());
-  table.AddRow({"simd", simd::KernelReport()});
-  table.AddRow({"ticks", std::to_string(ticks)});
-  table.Print();
-
-  if (stats.total.ingest.retrains == 0) {
-    std::cerr << "no retrain was published (lower --retrain-every or raise "
-                 "--ingest-per-tick)\n";
-    return 1;
-  }
-  return rc;
-}
-
 void PrintUsage(std::ostream& out) {
   out << "usage: rpe_cli <command> [--flags]   (see docs/CLI.md)\n"
          "commands:\n"
@@ -867,11 +653,9 @@ void PrintUsage(std::ostream& out) {
          "  inspect        summarize a record set\n"
          "  snapshot-save  convert CSV records to a binary snapshot\n"
          "  snapshot-load  verify + describe a snapshot\n"
-         "  serve-replay   concurrent MonitorService replay of a workload\n"
          "  serve-tcp      epoll TCP front-end over the monitor tier\n"
-         "  serve-online   replay + async ingest + background retraining\n"
          "  version        build + SIMD dispatch report (also --version)\n"
-         "common flags: --threads N; serve commands also take --shards N\n"
+         "common flags: --threads N; serve-tcp also takes --shards N\n"
          "(sharded session routing) and --model x.rpsn --mmap (zero-copy\n"
          "snapshot load)\n";
 }
@@ -900,7 +684,13 @@ int Main(int argc, char** argv) {
   if (cmd == "version" || cmd == "--version") return CmdVersion();
   const auto flags = ParseFlags(argc, argv, 2);
   if (flags.count("threads") > 0) {
-    ThreadPool::SetGlobalThreads(std::stoi(flags.at("threads")));
+    // 0 = hardware concurrency, as for RPE_NUM_THREADS.
+    auto threads = ParseSizeFlag(flags, "threads", "0", 0, 4096);
+    if (!threads.ok()) {
+      std::cerr << threads.status().ToString() << "\n";
+      return 2;
+    }
+    ThreadPool::SetGlobalThreads(static_cast<int>(*threads));
   }
   // Make fault-injection runs self-announcing: RPE_FAILPOINTS armed sites
   // are listed up front so a chaos run is never mistaken for a clean one.
@@ -917,9 +707,7 @@ int Main(int argc, char** argv) {
   if (cmd == "inspect") return CmdInspect(flags);
   if (cmd == "snapshot-save") return CmdSnapshotSave(flags);
   if (cmd == "snapshot-load") return CmdSnapshotLoad(flags);
-  if (cmd == "serve-replay") return CmdServeReplay(flags);
   if (cmd == "serve-tcp") return CmdServeTcp(flags);
-  if (cmd == "serve-online") return CmdServeOnline(flags);
   std::cerr << "unknown command: " << cmd << "\n";
   return 2;
 }
