@@ -19,8 +19,11 @@
 #      --check reconciling client and server counters exactly.
 #   6. The same server's HTTP /metrics scrape (--metrics-port) reconciles
 #      exactly with the loadgen JSONs (offered == ingested + dropped +
-#      shed), and its --trace-out dump is well-formed Chrome trace JSON
-#      with the decode -> route -> advance span chain present.
+#      shed), is valid exposition text (one `# TYPE` line per family, with
+#      two observe-only failpoints armed so a collector interleaves two
+#      labeled families), counts every completed session in the replay
+#      latency histogram, and its --trace-out dump is well-formed Chrome
+#      trace JSON with the decode -> route -> advance span chain present.
 #
 # Usage: server_smoke_test.sh <path-to-rpe_cli> <path-to-rpe_loadgen>
 set -u
@@ -126,7 +129,10 @@ COMPLETED="$(table_value 'sessions completed')"
 SRV2_OUT="$WORK/server2_stdout.txt"
 SRV2_ERR="$WORK/server2_stderr.txt"
 TRACE_OUT="$WORK/trace.json"
-"$CLI" serve-tcp --kind tpch --queries 10 --scale 2 --shards 2 --trees 10 \
+# Two observe-only failpoints (they count hits, never trip) make the
+# failpoint collector emit two labeled samples per family.
+RPE_FAILPOINTS="server.shed=observe;trainer.retrain.done=observe" \
+  "$CLI" serve-tcp --kind tpch --queries 10 --scale 2 --shards 2 --trees 10 \
   --retrain-every 64 --ingest-watermark 16 \
   --metrics-port 0 --trace-out "$TRACE_OUT" \
   >"$SRV2_OUT" 2>"$SRV2_ERR" &
@@ -251,8 +257,21 @@ if metric("rpe_retrains_total") <= 0:
 for required in ("rpe_server_frames_received_total",
                  "rpe_sessions_completed_total", "rpe_model_generation",
                  "rpe_ingest_queue_depth", "rpe_simd_tier_info",
-                 "rpe_trace_spans_total"):
+                 "rpe_trace_spans_total", "rpe_failpoint_hits_total"):
     metric(required)
+# Valid exposition text: every family under exactly one TYPE line.
+families = [line.split()[2] for line in text.splitlines()
+            if line.startswith("# TYPE ")]
+repeated = sorted({f for f in families if families.count(f) > 1})
+if repeated:
+    raise SystemExit(f"families with more than one TYPE line: {repeated}")
+# Every completed session lands in the replay latency histogram.
+completed = metric("rpe_sessions_completed_total")
+if metric("rpe_replay_latency_seconds_count") != completed:
+    raise SystemExit(
+        f"replay latency histogram counts "
+        f"{metric('rpe_replay_latency_seconds_count')} sessions, "
+        f"{completed} completed")
 print("scrape reconciles with the loadgen runs exactly")
 PYEOF
 then

@@ -25,20 +25,16 @@ double Variance(const std::vector<double>& xs) {
 double StdDev(const std::vector<double>& xs) { return std::sqrt(Variance(xs)); }
 
 double Percentile(std::vector<double> xs, double p) {
-  std::sort(xs.begin(), xs.end());
-  return PercentileSorted(xs, p);
-}
-
-double PercentileSorted(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
+  if (xs.empty()) return 0.0;
   RPE_CHECK_GE(p, 0.0);
   RPE_CHECK_LE(p, 100.0);
-  if (sorted.size() == 1) return sorted[0];
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  std::sort(xs.begin(), xs.end());
+  if (xs.size() == 1) return xs[0];
+  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
   const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const size_t hi = std::min(lo + 1, xs.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
 double PearsonCorrelation(const std::vector<double>& xs,

@@ -19,10 +19,6 @@ double StdDev(const std::vector<double>& xs);
 /// p-th percentile (p in [0,100]) by linear interpolation; 0 for empty input.
 double Percentile(std::vector<double> xs, double p);
 
-/// Percentile over already-ascending input — callers extracting several
-/// percentiles from one sample set sort once and call this per cut.
-double PercentileSorted(const std::vector<double>& sorted, double p);
-
 /// Pearson correlation coefficient; 0 when either side is constant.
 double PearsonCorrelation(const std::vector<double>& xs,
                           const std::vector<double>& ys);

@@ -110,43 +110,40 @@ Sample Sample::GaugeSample(std::string name, double value,
 // ---------------------------------------------------------------------------
 // Registry
 
-Counter* MetricsRegistry::GetCounter(std::string_view name,
-                                     std::string_view table_label) {
-  std::lock_guard<std::mutex> lock(mu_);
+MetricsRegistry::Family& MetricsRegistry::FindOrAddLocked(
+    std::string_view name, std::string_view table_label) {
   auto it = families_.find(name);
   if (it == families_.end()) {
     it = families_.emplace(std::string(name), Family{}).first;
-    it->second.table_label = std::string(table_label);
     order_.push_back(it->first);
   }
-  if (!it->second.counter) it->second.counter = std::make_unique<Counter>();
-  return it->second.counter.get();
+  if (it->second.table_label.empty()) {
+    it->second.table_label = std::string(table_label);
+  }
+  return it->second;
+}
+
+Counter* MetricsRegistry::GetCounter(std::string_view name,
+                                     std::string_view table_label) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Family& fam = FindOrAddLocked(name, table_label);
+  if (!fam.counter) fam.counter = std::make_unique<Counter>();
+  return fam.counter.get();
 }
 
 Gauge* MetricsRegistry::GetGauge(std::string_view name,
                                  std::string_view table_label) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = families_.find(name);
-  if (it == families_.end()) {
-    it = families_.emplace(std::string(name), Family{}).first;
-    it->second.table_label = std::string(table_label);
-    order_.push_back(it->first);
-  }
-  if (!it->second.gauge) it->second.gauge = std::make_unique<Gauge>();
-  return it->second.gauge.get();
+  Family& fam = FindOrAddLocked(name, table_label);
+  if (!fam.gauge) fam.gauge = std::make_unique<Gauge>();
+  return fam.gauge.get();
 }
 
 Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = families_.find(name);
-  if (it == families_.end()) {
-    it = families_.emplace(std::string(name), Family{}).first;
-    order_.push_back(it->first);
-  }
-  if (!it->second.histogram) {
-    it->second.histogram = std::make_unique<Histogram>();
-  }
-  return it->second.histogram.get();
+  Family& fam = FindOrAddLocked(name, "");
+  if (!fam.histogram) fam.histogram = std::make_unique<Histogram>();
+  return fam.histogram.get();
 }
 
 int MetricsRegistry::AddCollector(Collector fn) {
@@ -176,7 +173,7 @@ std::vector<Sample> MetricsRegistry::Collect() const {
     }
     if (fam.gauge) {
       out.push_back(Sample::GaugeSample(
-          name, static_cast<double>(fam.gauge->Value()), fam.table_label));
+          name, fam.gauge->Value(), fam.table_label));
     }
   }
   for (const auto& [id, fn] : collectors_) fn(&out);
@@ -200,10 +197,23 @@ void AppendValue(std::string* out, double v) {
 
 std::string MetricsRegistry::RenderPrometheus() const {
   const std::vector<Sample> samples = Collect();
+  // A family's samples may arrive interleaved with other families' (a
+  // collector emitting hits and trips per failpoint); the exposition
+  // format wants each family contiguous under exactly one TYPE line.
+  std::map<std::string_view, size_t> first_seen;
+  for (const Sample& s : samples) {
+    first_seen.emplace(s.name, first_seen.size());
+  }
+  std::vector<size_t> order(samples.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return first_seen.at(samples[a].name) < first_seen.at(samples[b].name);
+  });
   std::string out;
   out.reserve(4096);
-  std::string last_family;
-  for (const Sample& s : samples) {
+  std::string_view last_family;
+  for (const size_t i : order) {
+    const Sample& s = samples[i];
     if (s.name != last_family) {
       out += "# TYPE " + s.name + " " +
              (s.kind == Sample::Kind::kCounter ? "counter" : "gauge") +
@@ -264,11 +274,6 @@ std::string MetricsRegistry::RenderPrometheus() const {
     out += "\n";
   }
   return out;
-}
-
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* global = new MetricsRegistry();
-  return *global;
 }
 
 }  // namespace obs

@@ -10,14 +10,18 @@
 // any way that matters: the instruction stream is identical for every
 // thread count.
 //
-// Ownership: a MetricsRegistry owns its metrics for its lifetime;
-// GetCounter/GetGauge/GetHistogram register on first use and return
-// stable pointers that callers may cache and hit lock-free forever
-// after. Metrics that live outside the registry (per-shard service
-// stats, failpoint counters, SIMD tier) are exported through scrape-time
-// collectors (AddCollector): a collector appends Samples when — and only
-// when — someone scrapes, so exporting a subsystem costs it nothing
-// between scrapes. Samples carry an optional table label, which is what
+// Ownership: a MetricsRegistry owns its metrics for its lifetime and is
+// the store of the serving tier's counters — the monitor shards, the
+// TcpServer and the TrainerLoop all increment registry cells, and the
+// typed reads (TcpServerStats, IngestStats, a kStats WireStats) are
+// point-in-time reads of those same cells. GetCounter/GetGauge/
+// GetHistogram register on first use and return stable pointers that
+// callers may cache and hit lock-free forever after. Values that are
+// derived rather than counted (histogram quantiles, rates, per-shard
+// open sessions) and state owned elsewhere (the ingest queue, failpoint
+// counters, SIMD tier) are exported through scrape-time collectors
+// (AddCollector): a collector appends Samples when — and only when —
+// someone scrapes. Samples carry an optional table label, which is what
 // the registry-driven CLI stats table (table_printer.h: MetricsTable)
 // renders; the same Collect() feeds the /metrics endpoint, the
 // kMetricsDump wire frame, and the exit-time tables — one source of
@@ -71,15 +75,15 @@ class Counter {
   Cell cells_[kMetricShards];
 };
 
-/// \brief Last-write-wins signed gauge (queue depths, generations).
+/// \brief Last-write-wins gauge (queue depths, generations, durations).
 class Gauge {
  public:
-  void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
-  int64_t Value() const { return v_.load(std::memory_order_relaxed); }
+  void Set(double v) { v_.store(v, std::memory_order_relaxed); }
+  void Add(double d) { v_.fetch_add(d, std::memory_order_relaxed); }
+  double Value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
-  std::atomic<int64_t> v_{0};
+  std::atomic<double> v_{0.0};
 };
 
 /// \brief Log-bucketed histogram of nonnegative integer values
@@ -166,16 +170,19 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Find-or-create. A non-empty table_label makes the metric a row of
-  /// the CLI stats table; the first registration's label wins.
+  /// the CLI stats table; the first non-empty label wins, so a reader
+  /// that resolves a cell by name before its owner registers it does not
+  /// erase the owner's row.
   Counter* GetCounter(std::string_view name,
                       std::string_view table_label = "");
   Gauge* GetGauge(std::string_view name, std::string_view table_label = "");
   Histogram* GetHistogram(std::string_view name);
 
-  /// Scrape-time exporter for state owned elsewhere; returns an id for
-  /// RemoveCollector. Collectors run under the registry mutex in
-  /// registration order — keep them allocation-light and lock-shallow
-  /// (they may take subsystem locks, e.g. a service stats mutex).
+  /// Scrape-time exporter for derived values and state owned elsewhere;
+  /// returns an id for RemoveCollector. Collectors run under the registry
+  /// mutex in registration order — keep them allocation-light and
+  /// lock-shallow (they may take subsystem locks, e.g. a queue mutex), and
+  /// never call back into the registry (use cached metric pointers).
   using Collector = std::function<void(std::vector<Sample>*)>;
   int AddCollector(Collector fn);
   void RemoveCollector(int id);
@@ -183,13 +190,11 @@ class MetricsRegistry {
   /// Owned scalars (registration order) followed by collector output.
   std::vector<Sample> Collect() const;
 
-  /// Prometheus text exposition (version 0.0.4): Collect() plus owned
+  /// Prometheus text exposition (version 0.0.4): Collect() grouped into
+  /// families (one `# TYPE` line each, families in order of first
+  /// appearance, samples in Collect() order within a family) plus owned
   /// histograms (seconds-unit `le` bounds from the nanosecond buckets).
   std::string RenderPrometheus() const;
-
-  /// Process-global default registry (used when a subsystem is not handed
-  /// an explicit one). Tests that need isolation construct their own.
-  static MetricsRegistry& Global();
 
  private:
   struct Family {
@@ -198,6 +203,9 @@ class MetricsRegistry {
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
+  /// Caller holds mu_.
+  Family& FindOrAddLocked(std::string_view name,
+                          std::string_view table_label);
 
   mutable std::mutex mu_;
   std::map<std::string, Family, std::less<>> families_;

@@ -31,9 +31,10 @@
 
 namespace rpe {
 
-/// \brief Counters describing the online-learning loop, exported through
-/// MonitorService::Stats. The queue fills the queue-side fields; the
-/// TrainerLoop overlays the retraining fields.
+/// \brief Point-in-time read of the online-learning loop's counters
+/// (TrainerLoop::GetStats). The queue fills the queue-side fields from its
+/// own counters; the retraining fields are read from the TrainerLoop's
+/// registry cells.
 struct IngestStats {
   uint64_t pushed = 0;   ///< records accepted into the queue
   uint64_t dropped = 0;  ///< records rejected (queue full or closed)

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "common/logging.h"
-#include "common/stats.h"
 #include "obs/trace.h"
 
 namespace rpe {
@@ -11,8 +10,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double SecondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
+uint64_t NanosSince(Clock::time_point start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           start)
+          .count());
 }
 
 uint64_t CountDecisions(
@@ -26,6 +28,52 @@ uint64_t CountDecisions(
 
 }  // namespace
 
+ServiceMetrics::ServiceMetrics(obs::MetricsRegistry* registry)
+    : sessions_opened(registry->GetCounter("rpe_sessions_opened_total",
+                                           "sessions opened")),
+      sessions_completed(registry->GetCounter(
+          "rpe_sessions_completed_total", "sessions completed")),
+      decisions(registry->GetCounter("rpe_decisions_total", "decisions")),
+      observations_scored(registry->GetCounter(
+          "rpe_observations_scored_total", "observations scored")),
+      scoring_ns(registry->GetCounter("rpe_scoring_time_nanoseconds_total")),
+      replay_latency(registry->GetHistogram("rpe_replay_latency_seconds")) {}
+
+double ServiceMetrics::ReplayLatencyMs(double q) const {
+  return replay_latency->Snap().Quantile(q) / 1e6;
+}
+
+void ServiceMetrics::AppendDerived(uint64_t model_generation,
+                                   std::vector<obs::Sample>* out) const {
+  using obs::Sample;
+  // Table-label ordering note: table_value() in the smoke/exit scripts
+  // matches row labels by regex and takes the FIRST hit; "decisions" is an
+  // owned counter, so it always precedes the "decisions/sec" row here.
+  const double scoring_sec = static_cast<double>(scoring_ns->Value()) / 1e9;
+  // Throughput over cumulative scoring time (accrued live at every
+  // decision and observation step, so open or early-closed sessions are
+  // counted): per-core rates comparable across thread counts.
+  const auto per_sec = [scoring_sec](const obs::Counter* c) {
+    return scoring_sec > 0.0 ? static_cast<double>(c->Value()) / scoring_sec
+                             : 0.0;
+  };
+  out->push_back(Sample::GaugeSample("rpe_model_generation",
+                                     static_cast<double>(model_generation),
+                                     "model generation"));
+  out->push_back(Sample::GaugeSample("rpe_replay_latency_p50_ms",
+                                     ReplayLatencyMs(0.50),
+                                     "p50 replay latency (ms)"));
+  out->push_back(Sample::GaugeSample("rpe_replay_latency_p95_ms",
+                                     ReplayLatencyMs(0.95),
+                                     "p95 replay latency (ms)"));
+  out->push_back(Sample::GaugeSample("rpe_decisions_per_sec",
+                                     per_sec(decisions), "decisions/sec"));
+  out->push_back(Sample::GaugeSample("rpe_observations_per_sec",
+                                     per_sec(observations_scored),
+                                     "observations/sec"));
+  out->push_back(Sample::GaugeSample("rpe_scoring_time_seconds", scoring_sec));
+}
+
 MonitorService::Session::Session(std::shared_ptr<const SelectorStack> stack,
                                  const QueryRunResult* r, double marker_pct)
     : pinned(std::move(stack)),
@@ -37,7 +85,22 @@ MonitorService::MonitorService(std::shared_ptr<const SelectorStack> models)
 
 MonitorService::MonitorService(std::shared_ptr<const SelectorStack> models,
                                Options options)
-    : options_(options), models_(std::move(models)) {
+    : MonitorService(std::move(models), options, nullptr) {
+  registry_->AddCollector([this](std::vector<obs::Sample>* out) {
+    metrics_.AppendDerived(model_generation(), out);
+  });
+}
+
+MonitorService::MonitorService(std::shared_ptr<const SelectorStack> models,
+                               Options options,
+                               obs::MetricsRegistry* registry)
+    : options_(options),
+      own_registry_(registry == nullptr
+                        ? std::make_unique<obs::MetricsRegistry>()
+                        : nullptr),
+      registry_(registry == nullptr ? own_registry_.get() : registry),
+      metrics_(registry_),
+      models_(std::move(models)) {
   RPE_CHECK(models_ != nullptr);
 }
 
@@ -59,12 +122,6 @@ uint64_t MonitorService::model_generation() const {
   return model_generation_;
 }
 
-void MonitorService::SetIngestStatsProvider(
-    std::function<IngestStats()> provider) {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  ingest_provider_ = std::move(provider);
-}
-
 Result<MonitorService::SessionId> MonitorService::OpenSession(
     const QueryRunResult* run) {
   if (run == nullptr) {
@@ -76,21 +133,13 @@ Result<MonitorService::SessionId> MonitorService::OpenSession(
   // The estimator decisions — the selector scoring — happen at open, once,
   // exactly as a live monitor decides when the query is admitted.
   session->decisions = session->monitor.DecideForRun(*run);
-  session->elapsed_sec = SecondsSince(start);
-  const double session_elapsed = session->elapsed_sec;
-  const uint64_t decisions = CountDecisions(session->decisions);
-  SessionId id = 0;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    id = next_id_++;
-    sessions_.emplace(id, std::move(session));
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++sessions_opened_;
-    decisions_ += decisions;
-    scoring_time_sec_ += session_elapsed;
-  }
+  session->elapsed_ns = NanosSince(start);
+  metrics_.sessions_opened->Inc();
+  metrics_.decisions->Inc(CountDecisions(session->decisions));
+  metrics_.scoring_ns->Inc(session->elapsed_ns);
+  std::lock_guard<std::mutex> lock(sessions_mu_);
+  const SessionId id = next_id_++;
+  sessions_.emplace(id, std::move(session));
   return id;
 }
 
@@ -109,24 +158,20 @@ Result<double> MonitorService::Advance(SessionId id) {
   // set a TraceContext; one relaxed load when tracing is off.
   obs::TraceSpan span("advance.step", /*arg=*/id);
   RPE_ASSIGN_OR_RETURN(std::shared_ptr<Session> s, Find(id));
-  double progress = 0.0;
-  double dt = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(s->mu);
-    if (s->next_obs >= s->run->observations.size()) {
-      return Status::OutOfRange("session " + std::to_string(id) +
-                                " replay complete");
-    }
-    const auto start = Clock::now();
-    progress = s->monitor.QueryProgressAt(*s->run, s->decisions, s->next_obs);
-    dt = SecondsSince(start);
-    ++s->next_obs;
-    s->last_progress = progress;
-    s->elapsed_sec += dt;
+  std::lock_guard<std::mutex> lock(s->mu);
+  if (s->next_obs >= s->run->observations.size()) {
+    return Status::OutOfRange("session " + std::to_string(id) +
+                              " replay complete");
   }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++observations_scored_;
-  scoring_time_sec_ += dt;
+  const auto start = Clock::now();
+  const double progress =
+      s->monitor.QueryProgressAt(*s->run, s->decisions, s->next_obs);
+  const uint64_t dt = NanosSince(start);
+  ++s->next_obs;
+  s->last_progress = progress;
+  s->elapsed_ns += dt;
+  metrics_.observations_scored->Inc();
+  metrics_.scoring_ns->Inc(dt);
   return progress;
 }
 
@@ -142,23 +187,6 @@ Result<bool> MonitorService::Done(SessionId id) const {
   return s->next_obs >= s->run->observations.size();
 }
 
-void MonitorService::PushLatencyLocked(double latency_ms) {
-  if (replay_latency_ms_.size() < kLatencyWindow) {
-    replay_latency_ms_.push_back(latency_ms);
-  } else {
-    replay_latency_ms_[latency_next_] = latency_ms;  // overwrite the oldest
-    latency_next_ = (latency_next_ + 1) % kLatencyWindow;
-  }
-}
-
-void MonitorService::RecordCompletion(const Session& s) {
-  // Scoring time already accrued live (at open and per step); only the
-  // completion latency sample and count are recorded here.
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++sessions_completed_;
-  PushLatencyLocked(s.elapsed_sec * 1e3);
-}
-
 Status MonitorService::CloseSession(SessionId id) {
   std::shared_ptr<Session> s;
   {
@@ -171,47 +199,18 @@ Status MonitorService::CloseSession(SessionId id) {
     sessions_.erase(it);
   }
   std::lock_guard<std::mutex> lock(s->mu);
-  if (s->next_obs >= s->run->observations.size()) RecordCompletion(*s);
+  if (s->next_obs >= s->run->observations.size()) {
+    // Scoring time already accrued live (at open and per step); only the
+    // completion and its latency sample are recorded here.
+    metrics_.sessions_completed->Inc();
+    metrics_.replay_latency->Record(s->elapsed_ns);
+  }
   return Status::OK();
 }
 
 size_t MonitorService::num_open_sessions() const {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   return sessions_.size();
-}
-
-MonitorService::Stats MonitorService::GetStats(
-    std::vector<double>* latency_samples) const {
-  // The ingest provider is fetched and called outside the service locks:
-  // it reaches into the TrainerLoop, which itself calls back into the
-  // service (SwapModels), so holding stats_mu_ across it could deadlock.
-  std::function<IngestStats()> provider;
-  {
-    std::lock_guard<std::mutex> lock(ingest_mu_);
-    provider = ingest_provider_;
-  }
-  Stats stats;
-  if (provider) stats.ingest = provider();
-  stats.model_generation = model_generation();
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats.sessions_opened = sessions_opened_;
-  stats.sessions_completed = sessions_completed_;
-  stats.decisions = decisions_;
-  stats.observations_scored = observations_scored_;
-  stats.p50_replay_ms = Percentile(replay_latency_ms_, 50.0);
-  stats.p95_replay_ms = Percentile(replay_latency_ms_, 95.0);
-  stats.scoring_time_sec = scoring_time_sec_;
-  if (latency_samples != nullptr) *latency_samples = replay_latency_ms_;
-  if (scoring_time_sec_ > 0.0) {
-    // Throughput over cumulative scoring time (accrued live at every
-    // decision and observation step, so open or early-closed sessions
-    // are counted): per-core rates comparable across thread counts.
-    stats.decisions_per_sec =
-        static_cast<double>(decisions_) / scoring_time_sec_;
-    stats.observations_per_sec =
-        static_cast<double>(observations_scored_) / scoring_time_sec_;
-  }
-  return stats;
 }
 
 }  // namespace rpe

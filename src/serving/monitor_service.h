@@ -18,20 +18,25 @@
 //
 // The service is also the publish point of the online-learning loop
 // (serving/ingest.h + serving/trainer_loop.h): SwapModels carries a
-// monotonic model generation, and GetStats can surface the trainer's
-// IngestStats next to the replay counters so one call describes the whole
-// observe → record → retrain → publish cycle.
+// monotonic model generation, and the TrainerLoop counts its retrains
+// into the publisher's metrics registry, next to the replay counters, so
+// one scrape describes the whole observe → record → retrain → publish
+// cycle.
+//
+// Counters: the registry is the only store. Opens, completions,
+// decisions, observations and scoring time are obs::Counters, and every
+// completed session's replay latency lands in one histogram; there is no
+// stats lock on the scoring path.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "selection/monitor.h"
-#include "serving/ingest.h"
 #include "serving/snapshot.h"
 
 namespace rpe {
@@ -49,6 +54,38 @@ class ModelPublisher {
   /// (strictly increasing, construction-time snapshot = generation 0).
   virtual uint64_t SwapModels(
       std::shared_ptr<const SelectorStack> models) = 0;
+
+  /// The registry the publisher's serving counters live in; the
+  /// TrainerLoop registers its retrain counters here too.
+  virtual obs::MetricsRegistry& metrics() = 0;
+};
+
+/// \brief The serving tier's counter cells in one MetricsRegistry.
+/// GetCounter is find-or-create, so every object that builds a
+/// ServiceMetrics over the same registry — each shard, the router's
+/// collector, the TcpServer's kStats handler — resolves the same cells.
+struct ServiceMetrics {
+  explicit ServiceMetrics(obs::MetricsRegistry* registry);
+
+  obs::Counter* sessions_opened;
+  obs::Counter* sessions_completed;  ///< fully replayed, then closed
+  obs::Counter* decisions;  ///< estimator selections (initial + revised)
+  obs::Counter* observations_scored;
+  /// Scoring time accrued at every open and Advance step — the
+  /// denominator of the per-scoring-second rates.
+  obs::Counter* scoring_ns;
+  /// Full-replay latency of every completed session, in nanoseconds.
+  obs::Histogram* replay_latency;
+
+  /// Replay-latency quantile (q in [0,1]) in milliseconds, cumulative
+  /// since construction, within the histogram's bucket error.
+  double ReplayLatencyMs(double q) const;
+
+  /// The derived samples of a scrape: the model generation, replay
+  /// latency p50/p95, the two per-scoring-second rates and the scoring
+  /// time in seconds.
+  void AppendDerived(uint64_t model_generation,
+                     std::vector<obs::Sample>* out) const;
 };
 
 /// \brief Concurrent progress-monitoring service over immutable model
@@ -62,6 +99,7 @@ class MonitorService : public ModelPublisher {
 
   using SessionId = uint64_t;
 
+  /// A standalone service counts into a registry of its own.
   explicit MonitorService(std::shared_ptr<const SelectorStack> models);
   MonitorService(std::shared_ptr<const SelectorStack> models,
                  Options options);
@@ -74,6 +112,8 @@ class MonitorService : public ModelPublisher {
   std::shared_ptr<const SelectorStack> models() const;
   /// Generation of the currently published snapshot (number of swaps).
   uint64_t model_generation() const;
+  /// The registry this service counts into (a shard's is the router's).
+  obs::MetricsRegistry& metrics() override { return *registry_; }
 
   /// Open a monitoring session over a recorded run. The per-pipeline
   /// estimator decisions (initial + revision) are made here, against the
@@ -93,47 +133,11 @@ class MonitorService : public ModelPublisher {
   /// True once every observation of the session's run has been scored.
   Result<bool> Done(SessionId id) const;
 
-  /// Close the session; its replay latency enters the aggregate stats.
+  /// Close the session; a fully replayed one counts as completed and its
+  /// replay latency enters the histogram.
   Status CloseSession(SessionId id);
 
   size_t num_open_sessions() const;
-
-  /// \brief Aggregate serving statistics since construction.
-  struct Stats {
-    size_t sessions_opened = 0;
-    size_t sessions_completed = 0;  ///< fully replayed, then closed
-    uint64_t decisions = 0;  ///< estimator selections (initial + revised)
-    uint64_t observations_scored = 0;
-    /// Per-session full-replay latency percentiles over a sliding window
-    /// of the most recent completions (the service is long-running; the
-    /// window keeps stats memory bounded).
-    double p50_replay_ms = 0.0;
-    double p95_replay_ms = 0.0;
-    double decisions_per_sec = 0.0;  ///< over cumulative scoring time
-    double observations_per_sec = 0.0;
-    /// Cumulative scoring time in seconds — the denominator of the rates,
-    /// exposed so an aggregator (ShardedMonitorService) can recompute
-    /// exact pooled rates from summed counters and times.
-    double scoring_time_sec = 0.0;
-    /// Generation of the published model snapshot (see SwapModels).
-    uint64_t model_generation = 0;
-    /// Online-learning counters (zeros unless a provider is registered
-    /// via SetIngestStatsProvider).
-    IngestStats ingest;
-  };
-  /// When `latency_samples` is non-null it receives a copy of the bounded
-  /// replay-latency reservoir behind p50/p95 (most recent kLatencyWindow
-  /// completions, unordered), taken under the same lock hold as the
-  /// counters — one consistent snapshot. A shard aggregator merges these
-  /// across shards so pooled percentiles are computed over the union of
-  /// samples instead of averaging per-shard percentiles.
-  Stats GetStats(std::vector<double>* latency_samples = nullptr) const;
-
-  /// Register the source of Stats::ingest (typically
-  /// TrainerLoop::GetStats). The provider is called outside the service's
-  /// locks on every GetStats; pass nullptr to unregister. It must stay
-  /// callable until unregistered or the service is destroyed.
-  void SetIngestStatsProvider(std::function<IngestStats()> provider);
 
  private:
   struct Session {
@@ -143,7 +147,7 @@ class MonitorService : public ModelPublisher {
     std::vector<ProgressMonitor::PipelineDecision> decisions;
     size_t next_obs = 0;
     double last_progress = 0.0;
-    double elapsed_sec = 0.0;  ///< cumulative scoring time
+    uint64_t elapsed_ns = 0;  ///< cumulative scoring time
     /// Serializes Advance on the same session; distinct sessions never
     /// contend.
     mutable std::mutex mu;
@@ -151,12 +155,17 @@ class MonitorService : public ModelPublisher {
             const QueryRunResult* r, double marker_pct);
   };
 
+  friend class ShardedMonitorService;
+  /// Shard constructor: counts into the router's `registry`.
+  MonitorService(std::shared_ptr<const SelectorStack> models,
+                 Options options, obs::MetricsRegistry* registry);
+
   Result<std::shared_ptr<Session>> Find(SessionId id) const;
-  void RecordCompletion(const Session& s);
-  /// Caller holds stats_mu_.
-  void PushLatencyLocked(double latency_ms);
 
   const Options options_;
+  std::unique_ptr<obs::MetricsRegistry> own_registry_;  ///< null on shards
+  obs::MetricsRegistry* const registry_;
+  const ServiceMetrics metrics_;
 
   mutable std::mutex models_mu_;
   std::shared_ptr<const SelectorStack> models_;
@@ -165,22 +174,6 @@ class MonitorService : public ModelPublisher {
   mutable std::mutex sessions_mu_;
   SessionId next_id_ = 1;
   std::unordered_map<SessionId, std::shared_ptr<Session>> sessions_;
-
-  mutable std::mutex ingest_mu_;
-  std::function<IngestStats()> ingest_provider_;
-
-  mutable std::mutex stats_mu_;
-  size_t sessions_opened_ = 0;
-  size_t sessions_completed_ = 0;
-  uint64_t decisions_ = 0;
-  uint64_t observations_scored_ = 0;
-  /// Cumulative scoring time, accrued live (session open and every
-  /// Advance step) — the rate denominator.
-  double scoring_time_sec_ = 0.0;
-  /// Bounded ring of recent per-session replay latencies (see Stats).
-  static constexpr size_t kLatencyWindow = 4096;
-  std::vector<double> replay_latency_ms_;
-  size_t latency_next_ = 0;
 };
 
 }  // namespace rpe

@@ -125,11 +125,9 @@ struct TcpServer::Connection {
 };
 
 /// \brief Per-IO-thread state: the epoll instance, an eventfd for
-/// accept handoff + shutdown wakeup, and the owned connections. The
-/// per-thread counters that used to live here are registry-owned
-/// obs::Counters now (TcpServer::Counters) — same relaxed-increment hot
-/// path (each thread writes its own shard cell), one source of truth for
-/// GetStats, the exit table, and the metrics scrape.
+/// accept handoff + shutdown wakeup, and the owned connections. Counters
+/// are registry cells (TcpServer::Counters): each thread increments its
+/// own shard of the same obs::Counter.
 struct TcpServer::IoThread {
   size_t index = 0;
   int epoll_fd = -1;
@@ -152,53 +150,50 @@ TcpServer::TcpServer(ShardedMonitorService* service,
     : service_(service),
       runs_(std::move(runs)),
       ingest_(ingest),
-      options_(options) {
-  RPE_CHECK(service_ != nullptr);
+      options_(options),
+      registry_(service->metrics()),
+      service_metrics_(&registry_),
+      // Registered with its table label by the TrainerLoop (if any).
+      retrains_(registry_.GetCounter("rpe_retrains_total")) {
   RPE_CHECK(!runs_.empty());
   RPE_CHECK(options_.max_inflight_per_conn > 0);
   RPE_CHECK(options_.max_inflight_total > 0);
-  if (options_.metrics != nullptr) {
-    registry_ = options_.metrics;
-  } else {
-    own_registry_ = std::make_unique<obs::MetricsRegistry>();
-    registry_ = own_registry_.get();
-  }
   // Table labels are the exact rows the serve-tcp exit table has always
   // printed (parsed by scripts/server_smoke_test.sh); the wire-session
   // counters carry none so the bare "sessions opened/completed" rows
   // keep matching the service-level counters first.
-  c_.connections_accepted = registry_->GetCounter(
+  c_.connections_accepted = registry_.GetCounter(
       "rpe_server_connections_accepted_total", "connections accepted");
-  c_.connections_closed = registry_->GetCounter(
+  c_.connections_closed = registry_.GetCounter(
       "rpe_server_connections_closed_total", "connections closed");
-  c_.frames_received = registry_->GetCounter(
+  c_.frames_received = registry_.GetCounter(
       "rpe_server_frames_received_total", "frames received");
   c_.frames_sent =
-      registry_->GetCounter("rpe_server_frames_sent_total", "frames sent");
-  c_.bytes_received = registry_->GetCounter(
+      registry_.GetCounter("rpe_server_frames_sent_total", "frames sent");
+  c_.bytes_received = registry_.GetCounter(
       "rpe_server_bytes_received_total", "bytes received");
   c_.bytes_sent =
-      registry_->GetCounter("rpe_server_bytes_sent_total", "bytes sent");
-  c_.protocol_errors = registry_->GetCounter(
+      registry_.GetCounter("rpe_server_bytes_sent_total", "bytes sent");
+  c_.protocol_errors = registry_.GetCounter(
       "rpe_server_protocol_errors_total", "protocol errors");
   c_.io_errors =
-      registry_->GetCounter("rpe_server_io_errors_total", "io errors");
+      registry_.GetCounter("rpe_server_io_errors_total", "io errors");
   c_.wire_sessions_opened =
-      registry_->GetCounter("rpe_server_wire_sessions_opened_total");
+      registry_.GetCounter("rpe_server_wire_sessions_opened_total");
   c_.wire_sessions_closed =
-      registry_->GetCounter("rpe_server_wire_sessions_closed_total");
-  c_.advance_steps = registry_->GetCounter(
+      registry_.GetCounter("rpe_server_wire_sessions_closed_total");
+  c_.advance_steps = registry_.GetCounter(
       "rpe_server_advance_steps_total", "advance steps");
-  c_.requests_shed = registry_->GetCounter(
+  c_.requests_shed = registry_.GetCounter(
       "rpe_server_requests_shed_total", "session requests shed");
-  c_.records_ingested = registry_->GetCounter(
+  c_.records_ingested = registry_.GetCounter(
       "rpe_server_records_ingested_total", "wire records ingested");
-  c_.records_ingest_dropped = registry_->GetCounter(
+  c_.records_ingest_dropped = registry_.GetCounter(
       "rpe_server_records_ingest_dropped_total", "wire records dropped");
-  c_.records_ingest_shed = registry_->GetCounter(
+  c_.records_ingest_shed = registry_.GetCounter(
       "rpe_server_records_ingest_shed_total", "wire records shed");
   request_latency_ =
-      registry_->GetHistogram("rpe_server_request_latency_seconds");
+      registry_.GetHistogram("rpe_server_request_latency_seconds");
 }
 
 TcpServer::~TcpServer() { Stop(); }
@@ -411,8 +406,13 @@ void TcpServer::HandleMetricsConn(int fd) {
   }
   req[used] = '\0';
   std::string response;
-  if (std::strncmp(req, "GET /metrics", 12) == 0) {
-    const std::string body = registry_->RenderPrometheus();
+  // Exactly the /metrics path (a query string allowed); /metricsfoo and
+  // every other path get the 404.
+  static constexpr char kGet[] = "GET /metrics";
+  constexpr size_t kGetLen = sizeof kGet - 1;
+  if (used > kGetLen && std::strncmp(req, kGet, kGetLen) == 0 &&
+      (req[kGetLen] == ' ' || req[kGetLen] == '?')) {
+    const std::string body = registry_.RenderPrometheus();
     response = "HTTP/1.1 200 OK\r\nContent-Type: text/plain; "
                "version=0.0.4; charset=utf-8\r\nContent-Length: " +
                std::to_string(body.size()) +
@@ -426,8 +426,10 @@ void TcpServer::HandleMetricsConn(int fd) {
   }
   size_t off = 0;
   while (off < response.size()) {
-    const ssize_t n =
-        ::write(fd, response.data() + off, response.size() - off);
+    // MSG_NOSIGNAL: a scraper that hangs up mid-response must cost an
+    // EPIPE here, not a SIGPIPE that kills the server.
+    const ssize_t n = ::send(fd, response.data() + off,
+                             response.size() - off, MSG_NOSIGNAL);
     if (n <= 0) break;
     off += static_cast<size_t>(n);
   }
@@ -480,8 +482,10 @@ void TcpServer::SendFrame(IoThread* io, Connection* conn, std::string frame) {
 
 bool TcpServer::FlushWrites(IoThread* io, Connection* conn) {
   while (conn->pending_write() > 0) {
-    ssize_t n = ::write(conn->fd, conn->wbuf.data() + conn->woff,
-                        conn->pending_write());
+    // MSG_NOSIGNAL: a client that closes while its responses are being
+    // flushed is an io error on its own connection, not a SIGPIPE.
+    ssize_t n = ::send(conn->fd, conn->wbuf.data() + conn->woff,
+                       conn->pending_write(), MSG_NOSIGNAL);
     if (RPE_INJECT_FAULT("server.write")) {
       n = -1;
       errno = ECONNRESET;
@@ -655,7 +659,7 @@ uint64_t TcpServer::HandleFrame(IoThread* io, Connection* conn,
       // reachable through the protocol the load generator already speaks
       // (and, like kStats, never shed — see Sheddable).
       SendFrame(io, conn,
-                EncodeMetricsDumpResponse(registry_->RenderPrometheus()));
+                EncodeMetricsDumpResponse(registry_.RenderPrometheus()));
       return 0;
     }
     case MsgType::kIngestRecord: {
@@ -995,14 +999,17 @@ TcpServerStats TcpServer::GetStats() const {
 }
 
 WireStats TcpServer::BuildWireStats() const {
-  const ShardedMonitorService::Stats svc = service_->GetStats();
+  // Every field is a read of a registry cell (or of the queue's own
+  // counters, which the TrainerLoop's collector exports) — the same values
+  // a scrape renders.
   const TcpServerStats tcp = GetStats();
+  const ServiceMetrics& svc = service_metrics_;
   WireStats w;
-  w.sessions_opened = svc.total.sessions_opened;
-  w.sessions_completed = svc.total.sessions_completed;
-  w.decisions = svc.total.decisions;
-  w.observations_scored = svc.total.observations_scored;
-  w.model_generation = svc.total.model_generation;
+  w.sessions_opened = svc.sessions_opened->Value();
+  w.sessions_completed = svc.sessions_completed->Value();
+  w.decisions = svc.decisions->Value();
+  w.observations_scored = svc.observations_scored->Value();
+  w.model_generation = service_->model_generation();
   w.connections_accepted = tcp.connections_accepted;
   w.connections_closed = tcp.connections_closed;
   w.frames_received = tcp.frames_received;
@@ -1014,17 +1021,20 @@ WireStats TcpServer::BuildWireStats() const {
   w.wire_sessions_opened = tcp.wire_sessions_opened;
   w.wire_sessions_closed = tcp.wire_sessions_closed;
   w.advance_steps = tcp.advance_steps;
-  w.p50_replay_ms = svc.total.p50_replay_ms;
-  w.p95_replay_ms = svc.total.p95_replay_ms;
+  w.p50_replay_ms = svc.ReplayLatencyMs(0.50);
+  w.p95_replay_ms = svc.ReplayLatencyMs(0.95);
   w.records_ingested = tcp.records_ingested;
   w.records_ingest_dropped = tcp.records_ingest_dropped;
   w.records_ingest_shed = tcp.records_ingest_shed;
   w.requests_shed = tcp.requests_shed;
-  w.ingest_pushed = svc.total.ingest.pushed;
-  w.ingest_dropped = svc.total.ingest.dropped;
-  w.ingest_drained = svc.total.ingest.drained;
-  w.ingest_queue_size = svc.total.ingest.queue_size;
-  w.retrains = svc.total.ingest.retrains;
+  if (ingest_ != nullptr) {
+    const IngestStats queue = ingest_->GetStats();
+    w.ingest_pushed = queue.pushed;
+    w.ingest_dropped = queue.dropped;
+    w.ingest_drained = queue.drained;
+    w.ingest_queue_size = queue.queue_size;
+  }
+  w.retrains = retrains_->Value();
   return w;
 }
 

@@ -42,6 +42,12 @@
 // payload is released immediately, so a flood costs inbox slots, not
 // payload bytes — but the busy response still goes out in request order.
 //
+// Metrics: the server registers its counters and its request-latency
+// histogram into the service's registry (ShardedMonitorService::metrics),
+// next to the monitor and trainer counters, and serves that registry on
+// GET /metrics and kMetricsDump. A kStats answer reads the same cells, so
+// it cannot disagree with a scrape.
+//
 // Shutdown: Stop() closes the listen socket, wakes every IO thread,
 // flushes pending write buffers for up to Options::drain_timeout, closes
 // every connection (closing its sessions), and joins the threads — a
@@ -67,9 +73,9 @@
 
 namespace rpe {
 
-/// \brief Exact counters of the TCP front-end, summed over IO threads.
-/// (The serving-tier counters live in ShardedMonitorService::Stats; a
-/// StatsResponse over the wire carries both.)
+/// \brief Point-in-time read of the TCP front-end's registry counters,
+/// summed over IO threads. (The monitor counters live in the same
+/// registry; a StatsResponse over the wire carries both.)
 struct TcpServerStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_closed = 0;
@@ -119,11 +125,6 @@ class TcpServer {
     /// the queue past this is answered kStatusBusy. 0 = the queue's
     /// capacity (shed exactly when Push would start dropping).
     size_t ingest_shed_watermark = 0;
-    /// Registry the server's counters and request-latency histogram live
-    /// in (also the source a kMetricsDump frame and the /metrics endpoint
-    /// render). nullptr = a server-private registry, so tests that assert
-    /// exact per-server counters stay isolated from each other.
-    obs::MetricsRegistry* metrics = nullptr;
     /// Port of the HTTP /metrics exposition listener (loopback, GET
     /// only): -1 disables it, 0 picks an ephemeral port — read it back
     /// with metrics_port() after Start().
@@ -158,10 +159,6 @@ class TcpServer {
   /// Bound /metrics port (after Start(), when Options::metrics_port >= 0;
   /// 0 otherwise).
   uint16_t metrics_port() const { return metrics_port_; }
-
-  /// The registry the server's counters live in (Options::metrics, or
-  /// the server-private one).
-  obs::MetricsRegistry& metrics_registry() { return *registry_; }
 
   TcpServerStats GetStats() const;
 
@@ -214,9 +211,10 @@ class TcpServer {
   RecordIngestQueue* const ingest_;  ///< may be null (replay-only server)
   const Options options_;
 
-  /// The server's counters are registry-owned obs::Counters (one relaxed
-  /// sharded fetch_add per accrual, summed only on scrape) — the same
-  /// objects back GetStats, the exit table, kMetricsDump, and /metrics.
+  /// The server's counters are obs::Counters in the service's registry
+  /// (one relaxed sharded fetch_add per accrual, summed only on scrape) —
+  /// the same objects back GetStats, the exit table, kMetricsDump, and
+  /// /metrics. Two servers over one service share them.
   struct Counters {
     obs::Counter* connections_accepted = nullptr;
     obs::Counter* connections_closed = nullptr;
@@ -235,10 +233,13 @@ class TcpServer {
     obs::Counter* records_ingest_shed = nullptr;
   };
 
-  std::unique_ptr<obs::MetricsRegistry> own_registry_;
-  obs::MetricsRegistry* registry_ = nullptr;
+  obs::MetricsRegistry& registry_;  ///< service_->metrics()
   Counters c_;
   obs::Histogram* request_latency_ = nullptr;  ///< end-to-end, ns
+  /// Cells a StatsResponse reads besides the server's own: the monitor
+  /// counters and the TrainerLoop's retrain counter.
+  const ServiceMetrics service_metrics_;
+  obs::Counter* retrains_ = nullptr;
 
   int listen_fd_ = -1;
   uint16_t port_ = 0;

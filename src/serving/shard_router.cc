@@ -1,9 +1,9 @@
 #include "serving/shard_router.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/logging.h"
-#include "common/stats.h"
 
 namespace rpe {
 namespace {
@@ -27,9 +27,22 @@ ShardedMonitorService::ShardedMonitorService(
   shard_options.revision_marker_pct = options.revision_marker_pct;
   shards_.reserve(options.num_shards);
   for (size_t s = 0; s < options.num_shards; ++s) {
-    shards_.push_back(
-        std::make_unique<MonitorService>(models, shard_options));
+    // The shard constructor is private (ShardedMonitorService is a
+    // friend), so no make_unique.
+    shards_.push_back(std::unique_ptr<MonitorService>(
+        new MonitorService(models, shard_options, &registry_)));
   }
+  registry_.GetGauge("rpe_shards", "shards")
+      ->Set(static_cast<double>(shards_.size()));
+  registry_.AddCollector([this](std::vector<obs::Sample>* out) {
+    metrics_.AppendDerived(model_generation(), out);
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      out->push_back(obs::Sample::GaugeSample(
+          "rpe_shard_sessions_open",
+          static_cast<double>(shards_[i]->num_open_sessions()), "",
+          "shard=\"" + std::to_string(i) + "\""));
+    }
+  });
 }
 
 uint64_t ShardedMonitorService::SwapModels(
@@ -100,70 +113,6 @@ size_t ShardedMonitorService::num_open_sessions() const {
   size_t n = 0;
   for (const auto& shard : shards_) n += shard->num_open_sessions();
   return n;
-}
-
-ShardedMonitorService::Stats ShardedMonitorService::GetStats() const {
-  // Provider called outside any router lock (it reaches the TrainerLoop,
-  // which publishes back through SwapModels).
-  std::function<IngestStats()> provider;
-  {
-    std::lock_guard<std::mutex> lock(ingest_mu_);
-    provider = ingest_provider_;
-  }
-  Stats stats;
-  stats.shards = shards_.size();
-  if (provider) stats.total.ingest = provider();
-
-  // Exclude publishes while scanning: a swap fan-out can never interleave
-  // with the per-shard reads, so the reported generations are a consistent
-  // cut (min == max always; both are kept as an interface-level check).
-  std::lock_guard<std::mutex> swap_lock(swap_mu_);
-  std::vector<double> latencies;
-  std::vector<double> samples;
-  bool first = true;
-  for (const auto& shard : shards_) {
-    // Counters and reservoir come from one lock hold per shard, so each
-    // shard's contribution is internally consistent.
-    const MonitorService::Stats s = shard->GetStats(&samples);
-    stats.total.sessions_opened += s.sessions_opened;
-    stats.total.sessions_completed += s.sessions_completed;
-    stats.total.decisions += s.decisions;
-    stats.total.observations_scored += s.observations_scored;
-    stats.total.scoring_time_sec += s.scoring_time_sec;
-    if (first) {
-      stats.min_model_generation = s.model_generation;
-      stats.max_model_generation = s.model_generation;
-      first = false;
-    } else {
-      stats.min_model_generation =
-          std::min(stats.min_model_generation, s.model_generation);
-      stats.max_model_generation =
-          std::max(stats.max_model_generation, s.model_generation);
-    }
-    latencies.insert(latencies.end(), samples.begin(), samples.end());
-  }
-  // Consistent-cut generation (the swap lock is held): min == max.
-  stats.total.model_generation = stats.min_model_generation;
-  // Pooled percentiles over the union of the shard reservoirs — exact,
-  // not an average of per-shard percentiles; one sort serves both cuts.
-  std::sort(latencies.begin(), latencies.end());
-  stats.total.p50_replay_ms = PercentileSorted(latencies, 50.0);
-  stats.total.p95_replay_ms = PercentileSorted(latencies, 95.0);
-  if (stats.total.scoring_time_sec > 0.0) {
-    stats.total.decisions_per_sec =
-        static_cast<double>(stats.total.decisions) /
-        stats.total.scoring_time_sec;
-    stats.total.observations_per_sec =
-        static_cast<double>(stats.total.observations_scored) /
-        stats.total.scoring_time_sec;
-  }
-  return stats;
-}
-
-void ShardedMonitorService::SetIngestStatsProvider(
-    std::function<IngestStats()> provider) {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  ingest_provider_ = std::move(provider);
 }
 
 }  // namespace rpe

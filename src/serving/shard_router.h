@@ -3,9 +3,8 @@
 // at tens of thousands of open sessions every OpenSession/Advance/Close
 // serializes on the same two locks. The router hash-partitions sessions
 // across N fully independent MonitorService shards — each with its own
-// session map, locks and latency reservoir — so unrelated sessions never
-// contend and the data-path cost of routing is two arithmetic ops on the
-// session id.
+// session map and locks — so unrelated sessions never contend and the
+// data-path cost of routing is two arithmetic ops on the session id.
 //
 // Routing: OpenSession picks a shard by hashing a monotone open ticket
 // (splitmix64 — uniform spread without coordination) and returns a global
@@ -15,11 +14,18 @@
 //
 // Publish: SwapModels fans out to every shard under one router lock, so a
 // publish is observed by all shards as one generation step — after any
-// SwapModels returns, every shard reports the same generation, and
-// concurrent GetStats can never see the generations more than one step
-// apart (min/max are both reported). The router is the TrainerLoop's
-// ModelPublisher, so the online-learning loop drives all shards with one
-// call.
+// SwapModels returns, every shard reports the same generation. The router
+// is the TrainerLoop's ModelPublisher, so the online-learning loop drives
+// all shards with one call.
+//
+// Counters: the router owns the process's MetricsRegistry (metrics()).
+// Every shard increments the same registry counters and records into the
+// same replay-latency histogram — obs::Counter and obs::Histogram are
+// already sharded per thread, so shards never contend on them and a
+// scrape needs no merge. The router registers one collector for the
+// values that are derived rather than counted (generation, p50/p95, the
+// per-scoring-second rates, per-shard open sessions); the TcpServer and
+// the TrainerLoop register their counters into the same registry.
 //
 // Driving sessions: the router has no scheduler of its own. Callers (the
 // TCP front-end's IO threads, tests, benches) step each session with
@@ -28,14 +34,11 @@
 // Determinism: shards only partition sessions; each session's replay is
 // the same deterministic observation walk MonitorService performs, so a
 // sharded replay is bit-identical to an unsharded one at any shard count
-// and any number of driving threads. Counter stats are exact sums;
-// p50/p95 are computed over the union of the per-shard latency
-// reservoirs.
+// and any number of driving threads.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -69,6 +72,8 @@ class ShardedMonitorService : public ModelPublisher {
   /// Generation every shard has observed (the min across shards — i.e.
   /// "published everywhere").
   uint64_t model_generation() const;
+  /// The registry every shard, the front-end and the trainer count into.
+  obs::MetricsRegistry& metrics() override { return registry_; }
 
   /// Session API, routed by id; semantics identical to MonitorService.
   Result<SessionId> OpenSession(const QueryRunResult* run);
@@ -86,26 +91,6 @@ class ShardedMonitorService : public ModelPublisher {
   Status CloseSession(SessionId id);
   size_t num_open_sessions() const;  ///< sum over shards
 
-  /// \brief Aggregated serving statistics.
-  struct Stats {
-    size_t shards = 0;
-    /// Summed counters; p50/p95 merged over the union of per-shard
-    /// latency reservoirs; rates recomputed from summed counters over
-    /// summed scoring time. model_generation is the min across shards;
-    /// ingest comes from the router-level provider.
-    MonitorService::Stats total;
-    /// Min/max shard generation. GetStats excludes publishes while it
-    /// scans, so these are always equal — a consistent cut across shards;
-    /// both are reported as an interface-level consistency check.
-    uint64_t min_model_generation = 0;
-    uint64_t max_model_generation = 0;
-  };
-  Stats GetStats() const;
-
-  /// Register the source of Stats::ingest for the aggregate (typically
-  /// TrainerLoop::GetStats); pass nullptr to unregister.
-  void SetIngestStatsProvider(std::function<IngestStats()> provider);
-
   /// Direct shard access for tests/benches (shards are owned; do not swap
   /// models through a shard directly or the one-step generation invariant
   /// breaks).
@@ -115,6 +100,9 @@ class ShardedMonitorService : public ModelPublisher {
   size_t ShardOf(SessionId id) const { return id % shards_.size(); }
   SessionId LocalId(SessionId id) const { return id / shards_.size(); }
 
+  /// Declared first: the shards hold pointers to its cells.
+  obs::MetricsRegistry registry_;
+  const ServiceMetrics metrics_{&registry_};
   std::vector<std::unique_ptr<MonitorService>> shards_;
 
   /// Monotone open ticket; hashed to pick the shard of a new session.
@@ -123,9 +111,6 @@ class ShardedMonitorService : public ModelPublisher {
   /// Serializes SwapModels fan-outs so a publish lands on every shard as
   /// one step and generations advance in lockstep.
   mutable std::mutex swap_mu_;
-
-  mutable std::mutex ingest_mu_;
-  std::function<IngestStats()> ingest_provider_;
 };
 
 }  // namespace rpe

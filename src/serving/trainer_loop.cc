@@ -19,20 +19,72 @@ std::chrono::milliseconds BackoffDelay(std::chrono::milliseconds base,
   const uint64_t factor = uint64_t{1} << std::min<uint64_t>(attempt, 6);
   return base * factor;
 }
+/// The queue's counters as scrape samples, from one snapshot so that
+/// pushed == drained + queue depth holds within it.
+void AppendQueueSamples(const RecordIngestQueue& queue,
+                        std::vector<obs::Sample>* out) {
+  using obs::Sample;
+  const IngestStats q = queue.GetStats();
+  out->push_back(Sample::CounterSample("rpe_ingest_pushed_total",
+                                       static_cast<double>(q.pushed),
+                                       "records pushed"));
+  out->push_back(Sample::CounterSample("rpe_ingest_dropped_total",
+                                       static_cast<double>(q.dropped),
+                                       "records dropped"));
+  out->push_back(Sample::CounterSample("rpe_ingest_drained_total",
+                                       static_cast<double>(q.drained),
+                                       "records drained"));
+  out->push_back(Sample::CounterSample("rpe_ingest_batches_total",
+                                       static_cast<double>(q.batches)));
+  out->push_back(Sample::GaugeSample("rpe_ingest_queue_depth",
+                                     static_cast<double>(q.queue_size),
+                                     "ingest queue"));
+}
+
 }  // namespace
+
+TrainerLoop::Metrics::Metrics(obs::MetricsRegistry* registry)
+    : retrains(registry->GetCounter("rpe_retrains_total",
+                                    "retrains published")),
+      retrain_failures(registry->GetCounter("rpe_retrain_failures_total",
+                                            "retrain failures")),
+      retrain_recoveries(registry->GetCounter("rpe_retrain_recoveries_total",
+                                              "retrain recoveries")),
+      snapshot_write_failures(registry->GetCounter(
+          "rpe_snapshot_write_failures_total", "snapshot write failures")),
+      snapshot_write_retries(registry->GetCounter(
+          "rpe_snapshot_write_retries_total", "snapshot write retries")),
+      publish_failures(registry->GetCounter("rpe_publish_failures_total",
+                                            "publish failures")),
+      publish_retries(registry->GetCounter("rpe_publish_retries_total",
+                                           "publish retries")),
+      corpus_size(registry->GetGauge("rpe_training_corpus_size",
+                                     "training corpus")),
+      last_retrain_ms(
+          registry->GetGauge("rpe_last_retrain_ms", "last retrain (ms)")),
+      last_swap_generation(registry->GetGauge("rpe_last_swap_generation")) {}
 
 TrainerLoop::TrainerLoop(RecordIngestQueue* queue, ModelPublisher* service,
                          Options options)
-    : queue_(queue), service_(service), options_(std::move(options)) {
+    : queue_(queue),
+      service_(service),
+      options_(std::move(options)),
+      metrics_(&service->metrics()),
+      collector_id_(service->metrics().AddCollector(
+          [queue](std::vector<obs::Sample>* out) {
+            AppendQueueSamples(*queue, out);
+          })) {
   RPE_CHECK(queue_ != nullptr);
-  RPE_CHECK(service_ != nullptr);
   RPE_CHECK(!options_.pool.empty());
   RPE_CHECK(options_.min_corpus > 0);
   RPE_CHECK(options_.max_corpus >= options_.min_corpus);
   last_retrain_time_ = Clock::now();
 }
 
-TrainerLoop::~TrainerLoop() { Stop(); }
+TrainerLoop::~TrainerLoop() {
+  Stop();
+  service_->metrics().RemoveCollector(collector_id_);
+}
 
 void TrainerLoop::Start() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
@@ -66,8 +118,7 @@ void TrainerLoop::SeedCorpus(std::vector<PipelineRecord> records) {
   std::lock_guard<std::mutex> lock(run_mu_);
   for (auto& r : records) corpus_.push_back(std::move(r));
   while (corpus_.size() > options_.max_corpus) corpus_.pop_front();
-  std::lock_guard<std::mutex> stats_lock(stats_mu_);
-  corpus_size_ = corpus_.size();
+  metrics_.corpus_size->Set(static_cast<double>(corpus_.size()));
 }
 
 void TrainerLoop::ThreadMain() {
@@ -98,8 +149,7 @@ void TrainerLoop::MergeBatchLocked(std::vector<PipelineRecord>* batch) {
   has_pending_since_ = true;
   for (auto& r : *batch) corpus_.push_back(std::move(r));
   while (corpus_.size() > options_.max_corpus) corpus_.pop_front();
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  corpus_size_ = corpus_.size();
+  metrics_.corpus_size->Set(static_cast<double>(corpus_.size()));
 }
 
 void TrainerLoop::MaybeRetrainLocked() {
@@ -135,13 +185,12 @@ void TrainerLoop::MaybeRetrainLocked() {
   auto stack = std::make_shared<const SelectorStack>(
       SelectorStack::Train(snapshot, options_.pool, options_.params));
 
-  uint64_t snapshot_failures = 0, snapshot_retries = 0;
   if (!options_.snapshot_path.empty()) {
     Status saved;
     for (size_t attempt = 0;; ++attempt) {
       saved = SaveSelectorStack(*stack, options_.snapshot_path);
       if (saved.ok() || attempt >= options_.snapshot_write_retries) break;
-      ++snapshot_retries;
+      metrics_.snapshot_write_retries->Inc();
       std::this_thread::sleep_for(
           BackoffDelay(options_.retry_backoff, attempt));
     }
@@ -151,7 +200,7 @@ void TrainerLoop::MaybeRetrainLocked() {
       RPE_LOG_WARN << "trainer_loop: snapshot write failed after "
                    << options_.snapshot_write_retries
                    << " retries: " << saved.ToString();
-      snapshot_failures = 1;
+      metrics_.snapshot_write_failures->Inc();
     }
   }
 
@@ -160,7 +209,6 @@ void TrainerLoop::MaybeRetrainLocked() {
   // then the stack is dropped and the loop quarantines.
   uint64_t generation = 0;
   bool published = false;
-  uint64_t publish_retries = 0;
   {
     obs::TraceSpan publish_span("trainer.publish", retrain_span.id(),
                                 /*arg=*/0);
@@ -171,22 +219,13 @@ void TrainerLoop::MaybeRetrainLocked() {
         break;
       }
       if (attempt >= options_.publish_retries) break;
-      ++publish_retries;
+      metrics_.publish_retries->Inc();
       std::this_thread::sleep_for(
           BackoffDelay(options_.retry_backoff, attempt));
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    snapshot_write_failures_ += snapshot_failures;
-    snapshot_write_retries_ += snapshot_retries;
-    publish_retries_ += publish_retries;
-  }
   if (!published) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++publish_failures_;
-    }
+    metrics_.publish_failures->Inc();
     FailCycleLocked("publish failed");
     return;
   }
@@ -200,14 +239,11 @@ void TrainerLoop::MaybeRetrainLocked() {
   const bool recovered = consecutive_failures_ > 0;
   consecutive_failures_ = 0;
 
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++retrains_;
-    if (recovered) ++retrain_recoveries_;
-    last_swap_generation_ = generation;
-    corpus_size_ = corpus_.size();
-    last_retrain_ms_ = retrain_ms;
-  }
+  metrics_.last_swap_generation->Set(static_cast<double>(generation));
+  metrics_.corpus_size->Set(static_cast<double>(corpus_.size()));
+  metrics_.last_retrain_ms->Set(retrain_ms);
+  if (recovered) metrics_.retrain_recoveries->Inc();
+  metrics_.retrains->Inc();
   // Observe-only sync hook: tests wait for the nth successful publish
   // here (FailPoints::WaitForHits) instead of polling retrains().
   (void)RPE_INJECT_FAULT("trainer.retrain.done");
@@ -221,36 +257,30 @@ void TrainerLoop::FailCycleLocked(const char* what) {
   RPE_LOG_WARN << "trainer_loop: " << what << " (failure streak "
                << consecutive_failures_
                << "); serving the previous generation, quarantined";
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++retrain_failures_;
+  metrics_.retrain_failures->Inc();
 }
 
-uint64_t TrainerLoop::retrains() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return retrains_;
-}
+uint64_t TrainerLoop::retrains() const { return metrics_.retrains->Value(); }
 
 uint64_t TrainerLoop::last_swap_generation() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return last_swap_generation_;
+  return static_cast<uint64_t>(metrics_.last_swap_generation->Value());
 }
 
 IngestStats TrainerLoop::GetStats() const {
   IngestStats stats = queue_->GetStats();
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats.retrains = retrains_;
-  stats.last_swap_generation = last_swap_generation_;
-  stats.retrain_failures = retrain_failures_;
-  stats.retrain_recoveries = retrain_recoveries_;
-  stats.snapshot_write_failures = snapshot_write_failures_;
-  stats.snapshot_write_retries = snapshot_write_retries_;
-  stats.publish_failures = publish_failures_;
-  stats.publish_retries = publish_retries_;
-  stats.last_retrain_ms = last_retrain_ms_;
+  stats.retrains = metrics_.retrains->Value();
+  stats.last_swap_generation = last_swap_generation();
+  stats.retrain_failures = metrics_.retrain_failures->Value();
+  stats.retrain_recoveries = metrics_.retrain_recoveries->Value();
+  stats.snapshot_write_failures = metrics_.snapshot_write_failures->Value();
+  stats.snapshot_write_retries = metrics_.snapshot_write_retries->Value();
+  stats.publish_failures = metrics_.publish_failures->Value();
+  stats.publish_retries = metrics_.publish_retries->Value();
   // Live corpus size when the loop is idle; the post-retrain size while a
   // retrain is in flight (run_mu_ is not taken here so stats never stall
   // behind training).
-  stats.corpus_size = corpus_size_;
+  stats.corpus_size = static_cast<size_t>(metrics_.corpus_size->Value());
+  stats.last_retrain_ms = metrics_.last_retrain_ms->Value();
   return stats;
 }
 

@@ -20,11 +20,12 @@
 // deferral of the next attempt) while sessions keep scoring on the last
 // published generation; the pending-record counters stay set, so the next
 // cycle out of quarantine retries, and a success is counted as a
-// recovery. Every failure/retry/recovery is an exact counter in
-// IngestStats, surfaced through MonitorService::Stats. Stop() completes
-// cleanly under any of these faults. The failure edges carry failpoints
-// ("trainer.retrain", "trainer.publish", "snapshot.write" — see
-// common/failpoint.h) so every path is deterministically testable.
+// recovery. Every failure/retry/recovery is an exact counter in the
+// publisher's metrics registry (ModelPublisher::metrics()), read back as
+// IngestStats by GetStats. Stop() completes cleanly under any of these
+// faults. The failure edges carry failpoints ("trainer.retrain",
+// "trainer.publish", "snapshot.write" — see common/failpoint.h) so every
+// path is deterministically testable.
 //
 // Threading contract: Start spawns the single consumer thread; Stop joins
 // it and then performs one final synchronous drain + threshold check so
@@ -32,7 +33,14 @@
 // (pushed == drained). RunOnce is the same single step the thread
 // executes, exposed publicly so tests and shutdown paths can drive the
 // loop deterministically; it is serialized against the thread. GetStats /
-// generation / retrains are thread-safe at any time.
+// last_swap_generation / retrains are thread-safe at any time.
+//
+// Counters: retrains, failures, recoveries, retries, the corpus size, the
+// last retrain time and the last published generation are registry cells
+// (relaxed, lock-free); the queue keeps its own mutex-guarded counters so
+// pushed == drained + queue_size holds at one cut, and the loop exports
+// them through one scrape-time collector. One TrainerLoop per publisher:
+// a second would share the cells and export the queue twice.
 //
 // Determinism: training is thread-count-invariant (see MartParams), so
 // for a fixed sequence of drained batches the published stacks are
@@ -97,11 +105,12 @@ class TrainerLoop {
   /// `queue` and `service` must outlive the loop. `service` is any
   /// publish target — a single MonitorService or the sharded router
   /// (serving/shard_router.h), which fans a publish out to every shard in
-  /// one generation step. Nothing is trained or published until records
-  /// arrive and thresholds trip.
+  /// one generation step; the loop counts into `service->metrics()`.
+  /// Nothing is trained or published until records arrive and thresholds
+  /// trip.
   TrainerLoop(RecordIngestQueue* queue, ModelPublisher* service,
               Options options);
-  ~TrainerLoop();  ///< calls Stop()
+  ~TrainerLoop();  ///< calls Stop(), unregisters the queue collector
 
   TrainerLoop(const TrainerLoop&) = delete;
   TrainerLoop& operator=(const TrainerLoop&) = delete;
@@ -130,8 +139,8 @@ class TrainerLoop {
   /// MonitorService generation of the most recent publish (0 = none yet).
   uint64_t last_swap_generation() const;
 
-  /// Queue counters merged with the loop's retraining counters — the
-  /// Stats::ingest payload (wire via MonitorService::SetIngestStatsProvider).
+  /// Point-in-time read of the queue counters and the loop's registry
+  /// cells.
   IngestStats GetStats() const;
 
  private:
@@ -141,12 +150,29 @@ class TrainerLoop {
   /// Retrain + publish if a trigger trips (caller holds run_mu_).
   void MaybeRetrainLocked();
   /// Record a failed retrain/publish cycle and enter quarantine (caller
-  /// holds run_mu_, not stats_mu_).
+  /// holds run_mu_).
   void FailCycleLocked(const char* what);
 
   RecordIngestQueue* const queue_;
   ModelPublisher* const service_;
   const Options options_;
+
+  /// The loop's cells in the publisher's registry.
+  struct Metrics {
+    explicit Metrics(obs::MetricsRegistry* registry);
+    obs::Counter* retrains;
+    obs::Counter* retrain_failures;
+    obs::Counter* retrain_recoveries;
+    obs::Counter* snapshot_write_failures;
+    obs::Counter* snapshot_write_retries;
+    obs::Counter* publish_failures;
+    obs::Counter* publish_retries;
+    obs::Gauge* corpus_size;
+    obs::Gauge* last_retrain_ms;
+    obs::Gauge* last_swap_generation;
+  };
+  const Metrics metrics_;
+  const int collector_id_;  ///< exports the queue's counters
 
   /// Serializes consumer steps (background thread vs. RunOnce callers).
   mutable std::mutex run_mu_;
@@ -160,18 +186,6 @@ class TrainerLoop {
   /// Guarded by run_mu_.
   uint64_t consecutive_failures_ = 0;
   std::chrono::steady_clock::time_point quarantine_until_;  // run_mu_
-
-  mutable std::mutex stats_mu_;
-  uint64_t retrains_ = 0;
-  uint64_t last_swap_generation_ = 0;
-  uint64_t retrain_failures_ = 0;
-  uint64_t retrain_recoveries_ = 0;
-  uint64_t snapshot_write_failures_ = 0;
-  uint64_t snapshot_write_retries_ = 0;
-  uint64_t publish_failures_ = 0;
-  uint64_t publish_retries_ = 0;
-  size_t corpus_size_ = 0;
-  double last_retrain_ms_ = 0.0;
 
   std::atomic<bool> stop_{false};
   bool started_ = false;  // guarded by lifecycle_mu_

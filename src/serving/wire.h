@@ -2,11 +2,12 @@
 // length-prefixed binary framing for the session messages —
 // Open / Advance / Progress / Close / Stats — plus the online-ingest
 // messages IngestRecord / IngestBatch that stream PipelineRecords into
-// the server's RecordIngestQueue, shared by the server and the load
-// generator (tools/rpe_loadgen.cc). The codec lives in its own
-// translation unit, with no socket anywhere in sight, so framing and
-// message encode/decode are unit-testable (tests/wire_test.cpp) and
-// fuzzable (tests/wire_fuzz_test.cpp) byte-for-byte.
+// the server's RecordIngestQueue and the MetricsDump scrape, shared by
+// the server and the load generator (tools/rpe_loadgen.cc). The codec
+// lives in its own translation unit, with no socket anywhere in sight,
+// so framing and message encode/decode are unit-testable
+// (tests/wire_test.cpp) and fuzzable (tests/wire_fuzz_test.cpp)
+// byte-for-byte.
 //
 // Frame layout (all integers little-endian, no padding):
 //
@@ -25,9 +26,9 @@
 //
 // Requests and responses share the type byte; direction is implied by
 // who sent the frame. Every request gets exactly one response, in
-// request order per connection (the server's batch scheduler preserves
-// per-connection FIFO even while it interleaves Advance work across
-// connections — see serving/server.cc).
+// request order per connection (the server answers each connection's
+// frames in FIFO order, stepping an Advance inline — see
+// serving/server.h).
 //
 // Message payloads (sizes are exact; a typed decoder rejects any other
 // payload length with Status, never reads out of bounds):
@@ -197,7 +198,7 @@ struct IngestResponse {
 /// the wire, plus the front-end's own IO counters. Field order is wire
 /// format — append, never reorder.
 struct WireStats {
-  // ShardedMonitorService counters (exact sums across shards).
+  // Monitor counters: registry cells every shard increments.
   uint64_t sessions_opened = 0;
   uint64_t sessions_completed = 0;
   uint64_t decisions = 0;
@@ -215,7 +216,8 @@ struct WireStats {
   uint64_t wire_sessions_opened = 0;
   uint64_t wire_sessions_closed = 0;
   uint64_t advance_steps = 0;
-  // Replay latency percentiles (milliseconds) from the service window.
+  // Replay latency percentiles (milliseconds): cumulative quantiles of
+  // the rpe_replay_latency_seconds histogram (bucket error <= 12.5%).
   double p50_replay_ms = 0.0;
   double p95_replay_ms = 0.0;
   // Online ingest + admission control (appended fields — order is wire

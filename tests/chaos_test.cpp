@@ -141,7 +141,6 @@ TEST_F(ChaosTest, SeededFaultStormLeavesTheTierConsistent) {
     return p;
   }();
   TrainerLoop trainer(&queue, &service, trainer_options);
-  service.SetIngestStatsProvider([&trainer] { return trainer.GetStats(); });
   trainer.Start();
 
   // Worker threads interleave session traffic, record pushes, and swap

@@ -18,6 +18,7 @@ namespace rpe {
 namespace {
 
 using ::rpe::testing::MakeSmallCatalog;
+using ::rpe::testing::MetricValue;
 using ::rpe::testing::RandomRecords;
 
 PipelineRecord LabeledRecord(const std::vector<PipelineRecord>& pool,
@@ -156,7 +157,6 @@ TEST(TrainerLoopTest, RetrainThresholdTriggersDeterministically) {
   MonitorService service(initial);
   RecordIngestQueue queue(256);
   TrainerLoop trainer(&queue, &service, TinyTrainerOptions());
-  service.SetIngestStatsProvider([&trainer] { return trainer.GetStats(); });
 
   // One below the row-count threshold: drain happens, no retrain.
   for (size_t i = 0; i < 31; ++i) queue.Push(LabeledRecord(pool, i));
@@ -182,15 +182,26 @@ TEST(TrainerLoopTest, RetrainThresholdTriggersDeterministically) {
   EXPECT_EQ(trainer.retrains(), 2u);
   EXPECT_EQ(service.model_generation(), 2u);
 
-  const MonitorService::Stats stats = service.GetStats();
-  EXPECT_EQ(stats.model_generation, 2u);
-  EXPECT_EQ(stats.ingest.retrains, 2u);
-  EXPECT_EQ(stats.ingest.last_swap_generation, 2u);
-  EXPECT_EQ(stats.ingest.pushed, 64u);
-  EXPECT_EQ(stats.ingest.drained, 64u);
-  EXPECT_EQ(stats.ingest.dropped, 0u);
-  EXPECT_EQ(stats.ingest.corpus_size, 64u);
-  EXPECT_GT(stats.ingest.last_retrain_ms, 0.0);
+  const IngestStats stats = trainer.GetStats();
+  EXPECT_EQ(stats.retrains, 2u);
+  EXPECT_EQ(stats.last_swap_generation, 2u);
+  EXPECT_EQ(stats.pushed, 64u);
+  EXPECT_EQ(stats.drained, 64u);
+  EXPECT_EQ(stats.dropped, 0u);
+  EXPECT_EQ(stats.corpus_size, 64u);
+  EXPECT_GT(stats.last_retrain_ms, 0.0);
+  // The loop counts into the publisher's registry, next to the service's
+  // own counters, and exports the queue through its collector.
+  const obs::MetricsRegistry& metrics = service.metrics();
+  EXPECT_EQ(MetricValue(metrics, "rpe_model_generation"), 2.0);
+  EXPECT_EQ(MetricValue(metrics, "rpe_retrains_total"), 2.0);
+  EXPECT_EQ(MetricValue(metrics, "rpe_last_swap_generation"), 2.0);
+  EXPECT_EQ(MetricValue(metrics, "rpe_ingest_pushed_total"), 64.0);
+  EXPECT_EQ(MetricValue(metrics, "rpe_ingest_drained_total"), 64.0);
+  EXPECT_EQ(MetricValue(metrics, "rpe_ingest_queue_depth"), 0.0);
+  EXPECT_EQ(MetricValue(metrics, "rpe_training_corpus_size"), 64.0);
+  EXPECT_EQ(MetricValue(metrics, "rpe_last_retrain_ms"),
+            stats.last_retrain_ms);
 }
 
 TEST(TrainerLoopTest, SameRecordStreamPublishesByteIdenticalStacks) {
@@ -253,14 +264,14 @@ TEST(TrainerLoopTest, BackgroundThreadRetrainsAndStopDrainsTail) {
 TEST(MonitorServiceGenerationTest, SwapGenerationIsStrictlyMonotonic) {
   MonitorService service(TinyStack(21, 9));
   EXPECT_EQ(service.model_generation(), 0u);
-  EXPECT_EQ(service.GetStats().model_generation, 0u);
+  EXPECT_EQ(MetricValue(service.metrics(), "rpe_model_generation"), 0.0);
   uint64_t last = 0;
   for (int i = 0; i < 5; ++i) {
     const uint64_t gen =
         service.SwapModels(TinyStack(30 + static_cast<uint64_t>(i), 9));
     EXPECT_EQ(gen, last + 1);
     EXPECT_EQ(service.model_generation(), gen);
-    EXPECT_EQ(service.GetStats().model_generation, gen);
+    EXPECT_EQ(MetricValue(service.metrics(), "rpe_model_generation"), gen);
     last = gen;
   }
 }

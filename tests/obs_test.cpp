@@ -8,7 +8,8 @@
 // the threshold. Scrape side: a real loopback TcpServer answers
 // kMetricsDump and HTTP GET /metrics with counters that reconcile
 // exactly with what the client offered (ingested + dropped + shed ==
-// offered).
+// offered), and a kStats answer reads the same registry cells as the
+// scrape taken right after it.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -30,6 +31,7 @@
 #include "serving/ingest.h"
 #include "serving/server.h"
 #include "serving/shard_router.h"
+#include "serving/trainer_loop.h"
 #include "serving/wire.h"
 #include "tests/test_util.h"
 
@@ -37,6 +39,7 @@ namespace rpe {
 namespace {
 
 using ::rpe::testing::MakeSmallCatalog;
+using ::rpe::testing::MetricValue;
 using ::rpe::testing::RandomRecords;
 
 // ---------------------------------------------------------------------------
@@ -125,6 +128,41 @@ TEST(ObsRegistryTest, RenderPrometheusEmitsTypedFamilies) {
   EXPECT_NE(text.find("obs_latency_seconds_bucket{le=\"+Inf\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("obs_latency_seconds_count 1"), std::string::npos);
+}
+
+TEST(ObsRegistryTest, RenderPrometheusGroupsInterleavedFamilies) {
+  obs::MetricsRegistry registry;
+  // Two failpoints' worth of hits/trips: the collector interleaves the two
+  // families, the exposition must not.
+  registry.AddCollector([](std::vector<obs::Sample>* out) {
+    for (const char* name : {"a", "b"}) {
+      const std::string label = std::string("name=\"") + name + "\"";
+      out->push_back(obs::Sample::CounterSample("obs_hits_total", 1.0, "",
+                                                label));
+      out->push_back(obs::Sample::CounterSample("obs_trips_total", 2.0, "",
+                                                label));
+    }
+  });
+  const std::string text = registry.RenderPrometheus();
+  EXPECT_EQ(text,
+            "# TYPE obs_hits_total counter\n"
+            "obs_hits_total{name=\"a\"} 1\n"
+            "obs_hits_total{name=\"b\"} 1\n"
+            "# TYPE obs_trips_total counter\n"
+            "obs_trips_total{name=\"a\"} 2\n"
+            "obs_trips_total{name=\"b\"} 2\n");
+}
+
+TEST(ObsRegistryTest, FirstNonEmptyTableLabelWins) {
+  obs::MetricsRegistry registry;
+  // A reader resolving the cell before its owner must not erase the row.
+  obs::Counter* read = registry.GetCounter("obs_read_first_total");
+  obs::Counter* owned =
+      registry.GetCounter("obs_read_first_total", "owner row");
+  EXPECT_EQ(read, owned);
+  const std::vector<obs::Sample> samples = registry.Collect();
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].table_label, "owner row");
 }
 
 // ---------------------------------------------------------------------------
@@ -531,10 +569,16 @@ TEST_F(ObsScrapeTest, MetricsDumpAndHttpScrapeReconcileExactly) {
       PromValue(response.substr(body + 4), "rpe_server_wire_sessions_opened_total"),
       1.0);
 
-  // Unknown paths 404 without disturbing the server.
-  ScrapeClient other;
-  ASSERT_TRUE(other.Connect(server.metrics_port()));
-  EXPECT_NE(other.HttpGet("/other").find("404"), std::string::npos);
+  // Unknown paths 404 without disturbing the server — a path that merely
+  // starts with /metrics included; a query string is still /metrics.
+  for (const char* path : {"/other", "/metricsx"}) {
+    ScrapeClient other;
+    ASSERT_TRUE(other.Connect(server.metrics_port()));
+    EXPECT_NE(other.HttpGet(path).find("404"), std::string::npos) << path;
+  }
+  ScrapeClient query;
+  ASSERT_TRUE(query.Connect(server.metrics_port()));
+  EXPECT_NE(query.HttpGet("/metrics?x=1").find("200 OK"), std::string::npos);
 
   // A nonempty kMetricsDump payload is a protocol error.
   ScrapeClient hostile;
@@ -552,15 +596,123 @@ TEST_F(ObsScrapeTest, MetricsDumpAndHttpScrapeReconcileExactly) {
   EXPECT_EQ(stats.protocol_errors, 1u);
 }
 
+TEST_F(ObsScrapeTest, StatsFrameAgreesWithMetricsDumpAtQuiescence) {
+  ShardedMonitorService::Options service_options;
+  service_options.num_shards = 2;
+  ShardedMonitorService service(stack_, service_options);
+  RecordIngestQueue queue(/*capacity=*/64);
+  TrainerLoop::Options trainer_options;
+  trainer_options.retrain_min_records = 8;
+  trainer_options.min_corpus = 8;
+  trainer_options.pool = PoolOriginalThree();
+  trainer_options.params.num_trees = 4;
+  trainer_options.params.tree.max_leaves = 4;
+  // Driven by RunOnce, never started: nothing moves behind the test.
+  TrainerLoop trainer(&queue, &service, trainer_options);
+  TcpServer server(&service, {run_}, &queue, TcpServer::Options{});
+  ASSERT_TRUE(server.Start().ok());
+  ScrapeClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+
+  // Mixed traffic: two completed sessions, one left open mid-replay, an
+  // ingest batch that the trainer drains into a retrain, a protocol error.
+  for (int i = 0; i < 3; ++i) {
+    auto opened = client.Call(EncodeOpenRequest({0}));
+    ASSERT_TRUE(opened.ok() && opened->ok());
+    auto open_response = DecodeOpenResponse(opened->payload);
+    ASSERT_TRUE(open_response.ok());
+    AdvanceRequest step;
+    step.session_id = open_response->session_id;
+    step.max_steps = i < 2 ? kMaxAdvanceSteps : 1;
+    auto advanced = client.Call(EncodeAdvanceRequest(step));
+    ASSERT_TRUE(advanced.ok() && advanced->ok());
+    if (i < 2) {
+      auto closed = client.Call(EncodeCloseRequest({step.session_id}));
+      ASSERT_TRUE(closed.ok() && closed->ok());
+    }
+  }
+  IngestBatchRequest batch;
+  batch.records = RandomRecords(12, 21);
+  auto ingested = client.Call(EncodeIngestBatchRequest(batch));
+  ASSERT_TRUE(ingested.ok() && ingested->ok());
+  EXPECT_EQ(trainer.RunOnce(), 12u);
+  ASSERT_EQ(trainer.retrains(), 1u);
+  auto bad = client.Call(
+      EncodeFrame(MsgType::kStats, 0, std::string_view("x", 1)));
+  ASSERT_TRUE(bad.ok());
+  EXPECT_FALSE(bad->ok());
+
+  auto stats_frame = client.Call(EncodeStatsRequest());
+  ASSERT_TRUE(stats_frame.ok() && stats_frame->ok());
+  auto decoded = DecodeStatsResponse(stats_frame->payload);
+  ASSERT_TRUE(decoded.ok());
+  const WireStats& w = *decoded;
+  auto dump = client.Call(EncodeMetricsDumpRequest());
+  ASSERT_TRUE(dump.ok() && dump->ok());
+  const std::string& text = dump->payload;
+  const auto family = [&text](const char* name) {
+    return PromValue(text, name);
+  };
+
+  EXPECT_EQ(w.sessions_opened, 3u);
+  EXPECT_EQ(w.sessions_completed, 2u);
+  EXPECT_EQ(w.retrains, 1u);
+  EXPECT_EQ(w.protocol_errors, 1u);
+  EXPECT_EQ(family("rpe_sessions_opened_total"), w.sessions_opened);
+  EXPECT_EQ(family("rpe_sessions_completed_total"), w.sessions_completed);
+  EXPECT_EQ(family("rpe_decisions_total"), w.decisions);
+  EXPECT_EQ(family("rpe_observations_scored_total"), w.observations_scored);
+  EXPECT_EQ(family("rpe_model_generation"), w.model_generation);
+  EXPECT_EQ(family("rpe_server_connections_accepted_total"),
+            w.connections_accepted);
+  EXPECT_EQ(family("rpe_server_connections_closed_total"),
+            w.connections_closed);
+  // The dump request and the stats response moved these after the cut.
+  EXPECT_EQ(family("rpe_server_frames_received_total"),
+            w.frames_received + 1);
+  EXPECT_EQ(family("rpe_server_frames_sent_total"), w.frames_sent + 1);
+  EXPECT_EQ(family("rpe_server_bytes_received_total"),
+            w.bytes_received + EncodeMetricsDumpRequest().size());
+  EXPECT_EQ(family("rpe_server_bytes_sent_total"),
+            w.bytes_sent + EncodeStatsResponse(w).size());
+  EXPECT_EQ(family("rpe_server_protocol_errors_total"), w.protocol_errors);
+  EXPECT_EQ(family("rpe_server_io_errors_total"), w.io_errors);
+  EXPECT_EQ(family("rpe_server_wire_sessions_opened_total"),
+            w.wire_sessions_opened);
+  EXPECT_EQ(family("rpe_server_wire_sessions_closed_total"),
+            w.wire_sessions_closed);
+  EXPECT_EQ(family("rpe_server_advance_steps_total"), w.advance_steps);
+  EXPECT_EQ(family("rpe_server_records_ingested_total"), w.records_ingested);
+  EXPECT_EQ(family("rpe_server_records_ingest_dropped_total"),
+            w.records_ingest_dropped);
+  EXPECT_EQ(family("rpe_server_records_ingest_shed_total"),
+            w.records_ingest_shed);
+  EXPECT_EQ(family("rpe_server_requests_shed_total"), w.requests_shed);
+  EXPECT_EQ(family("rpe_ingest_pushed_total"), w.ingest_pushed);
+  EXPECT_EQ(family("rpe_ingest_dropped_total"), w.ingest_dropped);
+  EXPECT_EQ(family("rpe_ingest_drained_total"), w.ingest_drained);
+  EXPECT_EQ(family("rpe_ingest_queue_depth"), w.ingest_queue_size);
+  EXPECT_EQ(family("rpe_retrains_total"), w.retrains);
+  // p50/p95 are quantiles of the histogram every completion lands in.
+  EXPECT_EQ(family("rpe_replay_latency_seconds_count"),
+            family("rpe_sessions_completed_total"));
+  EXPECT_NEAR(family("rpe_replay_latency_p50_ms"), w.p50_replay_ms,
+              1e-6 * w.p50_replay_ms);
+  EXPECT_NEAR(family("rpe_replay_latency_p95_ms"), w.p95_replay_ms,
+              1e-6 * w.p95_replay_ms);
+  EXPECT_GT(w.p50_replay_ms, 0.0);
+  server.Stop();
+}
+
 TEST_F(ObsScrapeTest, ServersWithoutSharedRegistryStayIsolated) {
+  // Two services, two registries: each server counts into its own
+  // service's registry, so per-server assertions cannot bleed across.
   ShardedMonitorService::Options service_options;
   service_options.num_shards = 1;
-  ShardedMonitorService service(stack_, service_options);
-  // Two servers, no shared registry: each registers its counters in a
-  // private one, so per-server assertions cannot bleed across tests.
-  TcpServer a(&service, {run_}, TcpServer::Options{});
-  TcpServer b(&service, {run_}, TcpServer::Options{});
-  EXPECT_NE(&a.metrics_registry(), &b.metrics_registry());
+  ShardedMonitorService service_a(stack_, service_options);
+  ShardedMonitorService service_b(stack_, service_options);
+  TcpServer a(&service_a, {run_}, TcpServer::Options{});
+  TcpServer b(&service_b, {run_}, TcpServer::Options{});
   ASSERT_TRUE(a.Start().ok());
   ScrapeClient client;
   ASSERT_TRUE(client.Connect(a.port()));
@@ -569,6 +721,12 @@ TEST_F(ObsScrapeTest, ServersWithoutSharedRegistryStayIsolated) {
   a.Stop();
   EXPECT_EQ(a.GetStats().frames_received, 1u);
   EXPECT_EQ(b.GetStats().frames_received, 0u);
+  EXPECT_EQ(MetricValue(service_a.metrics(),
+                        "rpe_server_frames_received_total"),
+            1.0);
+  EXPECT_EQ(MetricValue(service_b.metrics(),
+                        "rpe_server_frames_received_total"),
+            0.0);
 }
 
 }  // namespace

@@ -215,7 +215,6 @@ TEST_F(ServerOnlineTest, IngestOverTheWireRetrainsAndKeepsPinnedSessions) {
   ShardedMonitorService service(stack_, service_options);
   RecordIngestQueue queue(256);
   TrainerLoop trainer(&queue, &service, FastTrainerOptions());
-  service.SetIngestStatsProvider([&trainer] { return trainer.GetStats(); });
   FailPoints::Observe("trainer.retrain.done");
   trainer.Start();
 
@@ -499,7 +498,6 @@ TEST_F(ServerOnlineTest, SeededIngestStormReconcilesEveryCounterExactly) {
   TrainerLoop::Options trainer_options = FastTrainerOptions();
   trainer_options.retrain_min_records = 48;
   TrainerLoop trainer(&queue, &service, trainer_options);
-  service.SetIngestStatsProvider([&trainer] { return trainer.GetStats(); });
   trainer.Start();
 
   TcpServer::Options server_options;

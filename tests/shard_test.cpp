@@ -1,9 +1,10 @@
 // ShardedMonitorService tests: sessions driven through the sharded tier
 // from several threads must replay bit-identically to a single unsharded
-// MonitorService at any shard/thread count (50k-session stress), counter
-// aggregation must be exact sums, routing must keep per-session semantics
-// intact, and a SwapModels publish must land on every shard as one
-// generation step even while sessions open concurrently.
+// MonitorService at any shard/thread count (50k-session stress), the
+// shards' shared registry counters must equal the unsharded service's,
+// routing must keep per-session semantics intact, and a SwapModels publish
+// must land on every shard as one generation step even while sessions
+// open concurrently.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +20,7 @@ namespace {
 
 using ::rpe::testing::DriveSessions;
 using ::rpe::testing::MakeSmallCatalog;
+using ::rpe::testing::MetricValue;
 using ::rpe::testing::RandomRecords;
 
 SelectorStack TrainSmallStack(const std::vector<PipelineRecord>& records,
@@ -130,16 +132,23 @@ TEST_F(ShardedMonitorServiceTest, StressReplay50kBitIdenticalToUnsharded) {
     ASSERT_EQ((*series)[s], (*expected)[s]) << "session " << s;
   }
 
-  const auto stats = sharded.GetStats();
-  const auto base = unsharded.GetStats();
-  EXPECT_EQ(stats.shards, 16u);
-  EXPECT_EQ(stats.total.sessions_opened, kSessions);
-  EXPECT_EQ(stats.total.sessions_completed, kSessions);
-  EXPECT_EQ(stats.total.decisions, base.decisions);
-  EXPECT_EQ(stats.total.observations_scored, base.observations_scored);
-  EXPECT_EQ(stats.min_model_generation, 0u);
-  EXPECT_EQ(stats.max_model_generation, 0u);
-  EXPECT_GE(stats.total.p95_replay_ms, stats.total.p50_replay_ms);
+  // Every shard counts into the router's registry: the scrape needs no
+  // merge and equals the unsharded service's own counters.
+  const obs::MetricsRegistry& metrics = sharded.metrics();
+  const obs::MetricsRegistry& base = unsharded.metrics();
+  EXPECT_EQ(MetricValue(metrics, "rpe_shards"), 16.0);
+  EXPECT_EQ(MetricValue(metrics, "rpe_sessions_opened_total"), kSessions);
+  EXPECT_EQ(MetricValue(metrics, "rpe_sessions_completed_total"), kSessions);
+  EXPECT_EQ(MetricValue(metrics, "rpe_decisions_total"),
+            MetricValue(base, "rpe_decisions_total"));
+  EXPECT_EQ(MetricValue(metrics, "rpe_observations_scored_total"),
+            MetricValue(base, "rpe_observations_scored_total"));
+  EXPECT_EQ(MetricValue(metrics, "rpe_model_generation"), 0.0);
+  const obs::Histogram* latency =
+      sharded.metrics().GetHistogram("rpe_replay_latency_seconds");
+  EXPECT_EQ(latency->Snap().count, kSessions);
+  EXPECT_GE(MetricValue(metrics, "rpe_replay_latency_p95_ms"),
+            MetricValue(metrics, "rpe_replay_latency_p50_ms"));
 }
 
 TEST_F(ShardedMonitorServiceTest, ReplayBitIdenticalAtAnyShardThreadCount) {
@@ -157,8 +166,9 @@ TEST_F(ShardedMonitorServiceTest, ReplayBitIdenticalAtAnyShardThreadCount) {
         ASSERT_EQ((*series)[s], reference[s % runs_->size()])
             << shards << " shards, " << threads << " threads, session " << s;
       }
-      EXPECT_EQ(service.GetStats().total.sessions_completed,
-                session_runs.size());
+      EXPECT_EQ(
+          MetricValue(service.metrics(), "rpe_sessions_completed_total"),
+          session_runs.size());
     }
   }
 }
@@ -210,9 +220,9 @@ TEST_F(ShardedMonitorServiceTest, SwapLandsOnAllShardsInOneGenerationStep) {
   options.num_shards = 8;
   ShardedMonitorService service(stack_, options);
 
-  // Openers hammer every shard while swaps land; a reader asserts that
-  // every stats cut sees all shards at one generation (GetStats excludes
-  // publishes while scanning, so the spread must be exactly zero).
+  // Openers hammer every shard while swaps land; a reader scrapes
+  // concurrently and asserts the exported generation ("published on every
+  // shard") never steps backwards.
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> opened{0};
   std::thread opener([&] {
@@ -224,9 +234,12 @@ TEST_F(ShardedMonitorServiceTest, SwapLandsOnAllShardsInOneGenerationStep) {
     }
   });
   std::thread reader([&] {
+    double last = 0.0;
     while (!stop.load()) {
-      const auto stats = service.GetStats();
-      ASSERT_EQ(stats.max_model_generation, stats.min_model_generation);
+      const double generation =
+          MetricValue(service.metrics(), "rpe_model_generation");
+      ASSERT_GE(generation, last);
+      last = generation;
     }
   });
 
@@ -244,10 +257,11 @@ TEST_F(ShardedMonitorServiceTest, SwapLandsOnAllShardsInOneGenerationStep) {
   reader.join();
 
   // After the last swap returns, every shard reports the same generation.
-  const auto stats = service.GetStats();
-  EXPECT_EQ(stats.min_model_generation, kSwaps);
-  EXPECT_EQ(stats.max_model_generation, kSwaps);
+  for (size_t i = 0; i < service.num_shards(); ++i) {
+    EXPECT_EQ(service.shard(i).model_generation(), kSwaps) << "shard " << i;
+  }
   EXPECT_EQ(service.model_generation(), kSwaps);
+  EXPECT_EQ(MetricValue(service.metrics(), "rpe_model_generation"), kSwaps);
   EXPECT_GT(opened.load(), 0u);
 
   // Sessions opened after the swaps decide against the final snapshot.

@@ -17,6 +17,7 @@ namespace {
 
 using ::rpe::testing::DriveSessions;
 using ::rpe::testing::MakeSmallCatalog;
+using ::rpe::testing::MetricValue;
 using ::rpe::testing::RandomRecords;
 using ::rpe::testing::TempPath;
 
@@ -397,10 +398,12 @@ TEST_F(MonitorServiceTest, ConcurrentReplayIsBitIdenticalAtAnyThreadCount) {
       EXPECT_EQ((*series)[s], expected[s])
           << "session " << s << " at " << threads << " threads";
     }
-    const auto stats = service.GetStats();
-    EXPECT_EQ(stats.sessions_completed, session_runs.size());
-    EXPECT_GT(stats.decisions, 0u);
-    EXPECT_GE(stats.p95_replay_ms, stats.p50_replay_ms);
+    const obs::MetricsRegistry& metrics = service.metrics();
+    EXPECT_EQ(MetricValue(metrics, "rpe_sessions_completed_total"),
+              session_runs.size());
+    EXPECT_GT(MetricValue(metrics, "rpe_decisions_total"), 0.0);
+    EXPECT_GE(MetricValue(metrics, "rpe_replay_latency_p95_ms"),
+              MetricValue(metrics, "rpe_replay_latency_p50_ms"));
   }
 }
 
@@ -428,9 +431,10 @@ TEST_F(MonitorServiceTest, SessionAdvanceMatchesSequentialReplay) {
   ASSERT_TRUE(service.CloseSession(*id).ok());
   EXPECT_EQ(service.num_open_sessions(), 0u);
   EXPECT_FALSE(service.Progress(*id).ok());  // closed sessions are gone
-  const auto stats = service.GetStats();
-  EXPECT_EQ(stats.sessions_completed, 1u);
-  EXPECT_EQ(stats.observations_scored, expected.size());
+  EXPECT_EQ(MetricValue(service.metrics(), "rpe_sessions_completed_total"),
+            1.0);
+  EXPECT_EQ(MetricValue(service.metrics(), "rpe_observations_scored_total"),
+            expected.size());
 }
 
 TEST_F(MonitorServiceTest, SwapModelsKeepsOpenSessionsPinned) {

@@ -8,15 +8,18 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/status.h"
 #include "exec/executor.h"
+#include "obs/metrics.h"
 #include "selection/record.h"
 #include "storage/catalog.h"
 #include "storage/datagen.h"
@@ -30,6 +33,17 @@ inline std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() /
           (std::to_string(::getpid()) + "_" + name))
       .string();
+}
+
+/// Value of the unlabeled sample `name` in one Collect() of `registry` —
+/// the same read a scrape or the exit table makes. NaN (which fails any
+/// equality) when the registry exports no such sample.
+inline double MetricValue(const obs::MetricsRegistry& registry,
+                          std::string_view name) {
+  for (const obs::Sample& s : registry.Collect()) {
+    if (s.name == name && s.labels.empty()) return s.value;
+  }
+  return std::numeric_limits<double>::quiet_NaN();
 }
 
 /// Drive one monitoring session per entry of `runs` through `service`'s

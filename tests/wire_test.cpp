@@ -5,7 +5,8 @@
 // reserved bits) are rejected with Status. Server side: a real loopback
 // TcpServer must answer Advance with progress values bit-identical to the
 // in-process MonitorService walking the same run, reconcile its counters
-// exactly, reject garbage streams without dying, and drain cleanly. The
+// exactly, reject garbage streams and clients that hang up mid-flush
+// without dying, and drain cleanly. The
 // Wire* suites run in the CI TSan job (the server fans out across IO
 // threads and shards).
 #include <gtest/gtest.h>
@@ -960,6 +961,37 @@ TEST_F(WireLoopbackTest, StopDrainsAndStartStopIsIdempotent) {
   // After Stop, the port no longer accepts connections.
   TestClient late;
   EXPECT_FALSE(late.Connect(server.port()));
+}
+
+TEST_F(WireLoopbackTest, ClientClosingMidFlushDoesNotKillTheServer) {
+  ShardedMonitorService::Options options;
+  options.num_shards = 2;
+  ShardedMonitorService service(stack_, options);
+  TcpServer server(&service, RunPtrs(), TcpServer::Options{});
+  ASSERT_TRUE(server.Start().ok());
+
+  // Each client pipelines far more kMetricsDump responses than the socket
+  // buffers hold, then closes without reading: the reset lands while the
+  // server is still flushing, and its next send hits a dead socket. That
+  // send must fail with EPIPE/ECONNRESET on the one connection, not raise
+  // SIGPIPE and take the whole process down.
+  std::string burst;
+  for (int i = 0; i < 2000; ++i) burst += EncodeMetricsDumpRequest();
+  for (int c = 0; c < 8; ++c) {
+    TestClient client;
+    ASSERT_TRUE(client.Connect(server.port()));
+    ASSERT_TRUE(client.SendRaw(burst));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    client.Close();
+  }
+
+  TestClient fresh;
+  ASSERT_TRUE(fresh.Connect(server.port()));
+  auto frame = fresh.Call(EncodeStatsRequest());
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  ASSERT_TRUE(frame->ok());
+  EXPECT_TRUE(DecodeStatsResponse(frame->payload).ok());
+  server.Stop();
 }
 
 }  // namespace

@@ -563,7 +563,6 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
   trainer_options.snapshot_path = FlagOr(flags, "snapshot-out", "");
   TrainerLoop trainer(&queue, &service, trainer_options);
   trainer.SeedCorpus(records);
-  service.SetIngestStatsProvider([&trainer] { return trainer.GetStats(); });
   trainer.Start();
 
   // The replay corpus OpenRequest.run_index indexes into (modulo).
@@ -572,10 +571,10 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
   for (const OwnedRun& run : runs) run_ptrs.push_back(&run.result);
 
   // One registry backs every operator surface — the /metrics endpoint,
-  // kMetricsDump frames, and the exit table below. The server registers
-  // its own counters into it; everything else exports via collectors.
-  obs::MetricsRegistry registry;
-  RegisterServiceCollector(&registry, &service);
+  // kMetricsDump frames, and the exit table below. The service owns it;
+  // the trainer and the server count into it, and the failpoint, SIMD and
+  // tracer state is exported via collectors.
+  obs::MetricsRegistry& registry = service.metrics();
   RegisterFailPointCollector(&registry);
   RegisterSimdCollector(&registry);
   RegisterTracerCollector(&registry);
@@ -591,7 +590,6 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
   server_options.max_inflight_total = *max_inflight;
   server_options.max_inflight_per_conn = *conn_inflight;
   server_options.ingest_shed_watermark = *ingest_watermark;
-  server_options.metrics = &registry;
   server_options.metrics_port =
       metrics_enabled ? static_cast<int>(*metrics_port) : -1;
   TcpServer server(&service, run_ptrs, &queue, server_options);
@@ -633,8 +631,8 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
     }
   }
 
-  // The exit table is the scrape, rendered: server-owned counters first
-  // (registration order), then the service/failpoint/simd/tracer
+  // The exit table is the scrape, rendered: registry-owned counters first
+  // (registration order: service, trainer, server), then the derived and
   // collector samples. Scripts regex-match row labels first-hit-wins,
   // which is why the wire-session counters carry no table label (the
   // "sessions opened" row must be the service's).

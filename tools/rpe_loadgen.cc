@@ -109,8 +109,8 @@ class WireClient {
   Result<WireFrame> Call(const std::string& request) {
     size_t off = 0;
     while (off < request.size()) {
-      const ssize_t n =
-          ::send(fd_, request.data() + off, request.size() - off, 0);
+      const ssize_t n = ::send(fd_, request.data() + off,
+                               request.size() - off, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
         return Status::IOError("send: " + std::string(std::strerror(errno)));
