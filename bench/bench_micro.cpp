@@ -2,8 +2,8 @@
 // feature extraction, MART training internals (leaf-histogram build
 // one-pass vs. rescan, sibling subtraction, tree fit) and prediction,
 // Zipf sampling, histogram construction, and the serving layer (binary
-// snapshots vs. the CSV/text persistence path, zero-copy mmap model load
-// vs. the read+decode path, ingest push throughput and TrainerLoop
+// snapshot encode/decode, zero-copy mmap model load vs. the read+decode
+// path, ingest push throughput and TrainerLoop
 // retrain+publish latency) — the building blocks whose cost determines
 // the (low) overhead the paper requires of progress estimation.
 #include <benchmark/benchmark.h>
@@ -481,7 +481,6 @@ BENCHMARK(BM_HistogramRecord);
 // online-learning benchmarks.
 struct ServingFixture {
   ServingFixture() : records(rpe::testing::RandomRecords(200, 17)) {
-    records_csv = RecordsToCsv(records);
     records_snapshot = EncodeRecordBatch(records);
 
     MartParams params;
@@ -496,23 +495,15 @@ struct ServingFixture {
                  "/rpe_bench_micro_stack." + std::to_string(::getpid()) +
                  ".rpsn";
     RPE_CHECK_OK(SaveSelectorStack(*stack, stack_path));
-    for (const EstimatorSelector* sel :
-         {&stack->static_selector, &stack->dynamic_selector}) {
-      for (const MartModel& m : sel->models()) {
-        model_texts.push_back(m.Serialize());
-      }
-    }
   }
 
   ~ServingFixture() { std::remove(stack_path.c_str()); }
 
   std::vector<PipelineRecord> records;
-  std::string records_csv;
   std::string records_snapshot;
   std::shared_ptr<const SelectorStack> stack;
   std::string stack_snapshot;
   std::string stack_path;
-  std::vector<std::string> model_texts;
 };
 
 ServingFixture& Serving() {
@@ -520,29 +511,8 @@ ServingFixture& Serving() {
   return fixture;
 }
 
-// The "including read/write" cost of Table 7: record persistence via the
-// text CSV path vs. the binary snapshot path.
-void BM_RecordsCsvEncode(benchmark::State& state) {
-  auto& fx = Serving();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RecordsToCsv(fx.records));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.records.size()));
-}
-BENCHMARK(BM_RecordsCsvEncode);
-
-void BM_RecordsCsvDecode(benchmark::State& state) {
-  auto& fx = Serving();
-  for (auto _ : state) {
-    auto records = RecordsFromCsv(fx.records_csv);
-    benchmark::DoNotOptimize(records->size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.records.size()));
-}
-BENCHMARK(BM_RecordsCsvDecode);
-
+// Record persistence: the .rpsn record-batch codec the record cache and
+// the CLI use.
 void BM_RecordsSnapshotEncode(benchmark::State& state) {
   auto& fx = Serving();
   for (auto _ : state) {
@@ -564,22 +534,8 @@ void BM_RecordsSnapshotDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordsSnapshotDecode);
 
-// Model (re)load for warm restarts: text Deserialize of every model of the
-// stack vs. one binary snapshot decode (which includes recompiling the
-// flat scoring buffers).
-void BM_SelectorStackTextDecode(benchmark::State& state) {
-  auto& fx = Serving();
-  for (auto _ : state) {
-    size_t trees = 0;
-    for (const std::string& text : fx.model_texts) {
-      auto model = MartModel::Deserialize(text);
-      trees += model->num_trees();
-    }
-    benchmark::DoNotOptimize(trees);
-  }
-}
-BENCHMARK(BM_SelectorStackTextDecode);
-
+// Model (re)load for warm restarts: one binary snapshot decode (which
+// includes recompiling the flat scoring buffers).
 void BM_SelectorStackSnapshotDecode(benchmark::State& state) {
   auto& fx = Serving();
   for (auto _ : state) {

@@ -2,7 +2,7 @@
 // selector on one benchmark family (TPC-H) and apply it to a completely
 // different database and workload (the Real-1 sales schema). Prints the
 // per-policy average errors plus the selector model round-tripped through
-// its text serialization (as a deployment would).
+// the .rpsn model encoding (as a deployment would).
 //
 //   $ ./examples/adhoc_model
 #include <iostream>
@@ -10,6 +10,7 @@
 #include "common/table_printer.h"
 #include "harness/experiment.h"
 #include "harness/runner.h"
+#include "serving/snapshot.h"
 
 using namespace rpe;
 
@@ -55,11 +56,11 @@ int main() {
   EstimatorSelector selector = EstimatorSelector::Train(
       *train, PoolSix(), /*use_dynamic=*/true, params);
 
-  // Round-trip one of the per-estimator models through serialization to
-  // show the persistence path a deployment would use.
-  const std::string blob = selector.models()[0].Serialize();
-  auto restored = MartModel::Deserialize(blob);
-  std::cout << "Serialized model for " << SelectableEstimators()[0]->name()
+  // Round-trip one of the per-estimator models through the .rpsn model
+  // encoding to show the persistence path a deployment would use.
+  const std::string blob = EncodeMartModel(selector.models()[0]);
+  auto restored = DecodeMartModel(blob);
+  std::cout << "Encoded model for " << SelectableEstimators()[0]->name()
             << ": " << blob.size() << " bytes, "
             << (restored.ok() ? "round-trip OK" : "round-trip FAILED")
             << "\n\n";

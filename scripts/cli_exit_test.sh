@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # CLI exit-code contract tests (wired into ctest as `cli_exit_codes`):
 #
-#   1. snapshot-load / serve-tcp (--mmap) on a corrupt, truncated, or
-#      missing .rpsn must exit nonzero with the Status on stderr — and
-#      must fail fast, before any workload runs.
-#   2. Malformed or out-of-range numeric flags exit 2 with
-#      "invalid --<flag>", before any workload runs.
+#   1. snapshot-load / evaluate / serve-tcp (--mmap) on a corrupt,
+#      truncated, or missing .rpsn must exit nonzero with the Status on
+#      stderr — and must fail fast, before any workload runs.
+#   2. Malformed or out-of-range numeric flags, and a `run --out` that
+#      is not a .rpsn path, exit 2 with "invalid --<flag>", before any
+#      workload runs. `run` -> `inspect` -> `snapshot-load --out x.csv`
+#      round-trips the record count through the one CSV export.
 #   3. serve-tcp with the snapshot-write failpoint armed at 100% via
 #      RPE_FAILPOINTS, driven by rpe_loadgen until a retrain is
 #      published, must still drain to exit zero, keep serving on the
@@ -56,6 +58,7 @@ for f in "$CORRUPT" "$TRUNC"; do
   expect_err "InvalidArgument" "$CLI" snapshot-load --in "$f"
 done
 expect_err "IOError" "$CLI" snapshot-load --in "$MISSING"
+expect_err "IOError" "$CLI" evaluate --train "$MISSING" --test "$MISSING"
 
 # serve-tcp must reject a bad --model up front (fail-fast: it returns
 # within the preload, so a tiny workload config keeps it honest): a
@@ -93,16 +96,50 @@ expect_usage io-threads "${SERVE[@]}" --io-threads 9999
 expect_usage shards "${SERVE[@]}" --shards 0
 expect_usage trees "${SERVE[@]}" --trees banana
 expect_usage trees "${SERVE[@]}" --trees -3
-expect_usage scale "$CLI" run --queries 2 --scale banana --out "$WORK/r.csv"
+expect_usage scale "$CLI" run --queries 2 --scale banana --out "$WORK/r.rpsn"
 expect_usage threads "$CLI" run --queries 2 --scale 1 --threads banana \
-  --out "$WORK/r.csv"
-expect_usage queries "$CLI" run --queries -1 --scale 1 --out "$WORK/r.csv"
+  --out "$WORK/r.rpsn"
+expect_usage queries "$CLI" run --queries -1 --scale 1 --out "$WORK/r.rpsn"
 expect_usage seed "$CLI" run --queries 2 --scale 1 --seed 1x \
-  --out "$WORK/r.csv"
+  --out "$WORK/r.rpsn"
 expect_usage zipf "$CLI" run --queries 2 --scale 1 --zipf inf \
-  --out "$WORK/r.csv"
+  --out "$WORK/r.rpsn"
 expect_usage trees "$CLI" train --records "$MISSING" --trees 2.5
+# Records are written only as .rpsn: any other --out is a flag error,
+# raised before the workload is built.
+expect_usage out "$CLI" run --queries 2 --scale 1 --out "$WORK/r.csv"
+grep -q "building" "$WORK/stderr.txt" \
+  && fail "run with a non-.rpsn --out started its workload"
+[ -e "$WORK/r.rpsn" ] && fail "a rejected run still wrote its records"
 [ -e "$WORK/r.csv" ] && fail "a rejected run still wrote its records"
+
+# --- run -> .rpsn -> CSV export ---------------------------------------------
+# `run` writes a record snapshot, `inspect` reads it back, and
+# `snapshot-load --out x.csv` (the one CSV output) writes a header plus
+# one line per record.
+if "$CLI" run --kind tpch --queries 4 --scale 1 --seed 3 \
+    --out "$WORK/r.rpsn" >"$WORK/run.txt" 2>"$WORK/run_err.txt"; then
+  N="$(sed -n 's/^\([0-9]*\) pipeline records -> .*/\1/p' "$WORK/run.txt")"
+  [ -n "$N" ] && [ "$N" -gt 0 ] \
+    || fail "run reported no records: $(cat "$WORK/run.txt")"
+  "$CLI" inspect --records "$WORK/r.rpsn" >"$WORK/inspect.txt" 2>&1 \
+    || fail "inspect could not read the run's .rpsn"
+  grep -q "^$N pipeline records" "$WORK/inspect.txt" \
+    || fail "inspect disagrees with run on the record count"
+  if "$CLI" snapshot-load --in "$WORK/r.rpsn" --out "$WORK/r.csv" \
+      >"$WORK/load.txt" 2>&1; then
+    [ "$(wc -l < "$WORK/r.csv")" -eq $((N + 1)) ] \
+      || fail "CSV export has $(wc -l < "$WORK/r.csv") lines, want $((N + 1))"
+    head -n 1 "$WORK/r.csv" | grep -q '^workload,query,pipeline,tag,total_n,' \
+      || fail "CSV export lacks its header line"
+    # The export is not an input: reading it back is a decode error.
+    expect_err "InvalidArgument" "$CLI" inspect --records "$WORK/r.csv"
+  else
+    fail "snapshot-load --out x.csv failed: $(cat "$WORK/load.txt")"
+  fi
+else
+  fail "run --out x.rpsn failed: $(cat "$WORK/run_err.txt")"
+fi
 
 # --- serve-tcp under a 100% snapshot-write fault --------------------------
 OUT="$WORK/serve_tcp.txt"

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "exec/executor.h"
+#include "serving/snapshot.h"
 
 namespace rpe {
 
@@ -91,15 +92,15 @@ Result<std::vector<PipelineRecord>> CachedRecords(const std::string& name,
                                                   const WorkloadConfig& config,
                                                   const RunOptions& options,
                                                   const std::string& tag) {
-  const std::string path = RecordCacheDir() + "/" + name + ".csv";
+  const std::string path = RecordCacheDir() + "/" + name + ".rpsn";
   if (std::filesystem::exists(path)) {
-    auto loaded = LoadRecords(path);
+    auto loaded = LoadRecordBatch(path);
     if (loaded.ok()) return loaded;
-    // Fall through to recompute on a corrupt cache file.
+    // Fall through to recompute on a file that fails to decode.
   }
   RPE_ASSIGN_OR_RETURN(std::vector<PipelineRecord> records,
                        BuildAndRun(config, options, tag));
-  RPE_RETURN_NOT_OK(SaveRecords(records, path));
+  RPE_RETURN_NOT_OK(SaveRecordBatch(records, path));
   return records;
 }
 

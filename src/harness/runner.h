@@ -52,8 +52,10 @@ Result<std::vector<PipelineRecord>> BuildAndRun(
     const WorkloadConfig& config, const RunOptions& options = {},
     const std::string& tag = "");
 
-/// Disk-cached variant: loads `<cache_dir>/<name>.csv` when present,
-/// otherwise builds + runs + saves. cache_dir defaults to $RPE_CACHE_DIR or
+/// Disk-cached variant: loads the `.rpsn` record batch
+/// `<cache_dir>/<name>.rpsn` when present and decodable (bit-exact, so a
+/// cache hit returns the records a cold run computed), otherwise builds +
+/// runs + saves it. cache_dir defaults to $RPE_CACHE_DIR or
 /// "rpe_record_cache" under the current directory.
 Result<std::vector<PipelineRecord>> CachedRecords(
     const std::string& name, const WorkloadConfig& config,

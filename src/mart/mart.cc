@@ -1,7 +1,6 @@
 #include "mart/mart.h"
 
 #include <cmath>
-#include <sstream>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -99,57 +98,6 @@ MartModel MartModel::FromParts(double bias, double learning_rate,
   model.learning_rate_ = learning_rate;
   model.trees_ = std::move(trees);
   model.feature_gains_ = std::move(feature_gains);
-  return model;
-}
-
-std::string MartModel::Serialize() const {
-  std::ostringstream out;
-  out.precision(17);
-  out << "MART " << bias_ << " " << learning_rate_ << " " << trees_.size()
-      << " " << feature_gains_.size() << "\n";
-  for (double g : feature_gains_) out << g << " ";
-  out << "\n";
-  for (const auto& tree : trees_) out << tree.Serialize();
-  return out.str();
-}
-
-Result<MartModel> MartModel::Deserialize(const std::string& text) {
-  std::istringstream in(text);
-  std::string magic;
-  MartModel model;
-  size_t num_trees = 0, num_features = 0;
-  if (!(in >> magic >> model.bias_ >> model.learning_rate_ >> num_trees >>
-        num_features) ||
-      magic != "MART") {
-    return Status::InvalidArgument("bad MART header");
-  }
-  model.feature_gains_.resize(num_features);
-  for (size_t i = 0; i < num_features; ++i) {
-    if (!(in >> model.feature_gains_[i])) {
-      return Status::InvalidArgument("bad MART gains");
-    }
-  }
-  // Re-serialize remaining stream per tree: trees are line-structured, so
-  // hand the rest of the stream to each tree in turn.
-  for (size_t t = 0; t < num_trees; ++t) {
-    size_t count = 0;
-    if (!(in >> count)) return Status::InvalidArgument("bad tree count");
-    std::ostringstream tree_text;
-    tree_text.precision(17);
-    tree_text << count << "\n";
-    for (size_t i = 0; i < count; ++i) {
-      int feature, left, right;
-      double threshold, value;
-      if (!(in >> feature >> threshold >> left >> right >> value)) {
-        return Status::InvalidArgument("bad tree body");
-      }
-      tree_text << feature << " " << threshold << " " << left << " " << right
-                << " " << value << "\n";
-    }
-    RPE_ASSIGN_OR_RETURN(RegressionTree tree,
-                         RegressionTree::Deserialize(tree_text.str()));
-    model.trees_.push_back(std::move(tree));
-  }
   return model;
 }
 

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -68,10 +67,6 @@ class MartModel {
   const std::vector<double>& feature_gains() const { return feature_gains_; }
   /// Training MSE after each boosting iteration.
   const std::vector<double>& training_curve() const { return training_curve_; }
-
-  /// Text round-trip for persistence.
-  std::string Serialize() const;
-  static Result<MartModel> Deserialize(const std::string& text);
 
  private:
   double bias_ = 0.0;

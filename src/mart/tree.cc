@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "common/logging.h"
@@ -634,32 +633,6 @@ Result<RegressionTree> RegressionTree::FromNodes(std::vector<Node> nodes) {
   }
   RegressionTree tree;
   tree.nodes_ = std::move(nodes);
-  return tree;
-}
-
-std::string RegressionTree::Serialize() const {
-  std::ostringstream out;
-  out.precision(17);
-  out << nodes_.size() << "\n";
-  for (const auto& n : nodes_) {
-    out << n.feature << " " << n.threshold << " " << n.left << " " << n.right
-        << " " << n.value << "\n";
-  }
-  return out.str();
-}
-
-Result<RegressionTree> RegressionTree::Deserialize(const std::string& text) {
-  std::istringstream in(text);
-  size_t count = 0;
-  if (!(in >> count)) return Status::InvalidArgument("bad tree header");
-  RegressionTree tree;
-  tree.nodes_.resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    Node& n = tree.nodes_[i];
-    if (!(in >> n.feature >> n.threshold >> n.left >> n.right >> n.value)) {
-      return Status::InvalidArgument("bad tree node");
-    }
-  }
   return tree;
 }
 

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "mart/dataset.h"
@@ -110,10 +109,6 @@ class RegressionTree {
   size_t num_nodes() const { return nodes_.size(); }
   size_t num_leaves() const;
   const std::vector<Node>& nodes() const { return nodes_; }
-
-  /// Compact text form (one node per line) for model persistence.
-  std::string Serialize() const;
-  static Result<RegressionTree> Deserialize(const std::string& text);
 
  private:
   std::vector<Node> nodes_;  // nodes_[0] is the root

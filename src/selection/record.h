@@ -1,9 +1,9 @@
 // PipelineRecord: one training/evaluation example for estimator selection —
 // the features of one executed pipeline plus the measured error of every
-// candidate estimator on it. Records serialize to CSV so expensive workload
-// runs can be captured once and reused across experiments (the paper's
-// "training data can be captured at low overhead in a running system",
-// §6.4).
+// candidate estimator on it. Records persist as `.rpsn` record batches
+// (serving/snapshot.h) so expensive workload runs can be captured once and
+// reused across experiments (the paper's "training data can be captured at
+// low overhead in a running system", §6.4).
 #pragma once
 
 #include <string>
@@ -39,12 +39,11 @@ bool MakeRecord(const PipelineView& view, const std::string& workload,
                 const std::string& query, const std::string& tag,
                 PipelineRecord* out, size_t min_observations = 5);
 
-/// CSV round-trip (header + one line per record).
+/// CSV export (header + one line per record, 12 significant digits): a
+/// human-readable view only. Nothing reads it back; records persist as
+/// `.rpsn` record batches (serving/snapshot.h), which are bit-exact.
 std::string RecordsToCsv(const std::vector<PipelineRecord>& records);
-Result<std::vector<PipelineRecord>> RecordsFromCsv(const std::string& csv);
-
 Status SaveRecords(const std::vector<PipelineRecord>& records,
                    const std::string& path);
-Result<std::vector<PipelineRecord>> LoadRecords(const std::string& path);
 
 }  // namespace rpe

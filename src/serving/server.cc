@@ -633,26 +633,20 @@ uint64_t TcpServer::HandleFrame(IoThread* io, Connection* conn,
       return 0;
     }
     case MsgType::kStats: {
-      if (!frame.payload.empty()) {
+      const Status req = DecodeStatsRequest(frame.payload);
+      if (!req.ok()) {
         c_.protocol_errors->Inc();
-        SendFrame(io, conn,
-                  EncodeErrorFrame(
-                      MsgType::kStats,
-                      Status::InvalidArgument(
-                          "StatsRequest carries a nonempty payload")));
+        SendFrame(io, conn, EncodeErrorFrame(MsgType::kStats, req));
         return 0;
       }
       SendFrame(io, conn, EncodeStatsResponse(BuildWireStats()));
       return 0;
     }
     case MsgType::kMetricsDump: {
-      if (!frame.payload.empty()) {
+      const Status req = DecodeMetricsDumpRequest(frame.payload);
+      if (!req.ok()) {
         c_.protocol_errors->Inc();
-        SendFrame(io, conn,
-                  EncodeErrorFrame(
-                      MsgType::kMetricsDump,
-                      Status::InvalidArgument(
-                          "MetricsDumpRequest carries a nonempty payload")));
+        SendFrame(io, conn, EncodeErrorFrame(MsgType::kMetricsDump, req));
         return 0;
       }
       // The wire twin of GET /metrics: the same RenderPrometheus text,

@@ -520,6 +520,22 @@ Result<SelectorStack> DecodeSelectorStack(std::string_view bytes) {
   return stack;
 }
 
+std::string EncodeMartModel(const MartModel& model) {
+  std::string bytes;
+  Writer w(&bytes);
+  EncodeModel(model, &w);
+  return bytes;
+}
+
+Result<MartModel> DecodeMartModel(std::string_view bytes) {
+  Reader r(bytes);
+  RPE_ASSIGN_OR_RETURN(MartModel model, DecodeModel(&r));
+  if (r.Remaining() != 0) {
+    return Status::InvalidArgument("model encoding has trailing bytes");
+  }
+  return model;
+}
+
 std::string EncodeRecordBatch(const std::vector<PipelineRecord>& records) {
   const FeatureSchema& schema = FeatureSchema::Get();
   const size_t arity =

@@ -1,8 +1,9 @@
 // Binary snapshot layer for the serving stack: a versioned, checksummed
 // container for (a) trained selector stacks — the static + dynamic
 // EstimatorSelector pair a ProgressMonitor runs on — and (b) batches of
-// PipelineRecord training data. Snapshots replace the text/CSV persistence
-// path on the hot load path: doubles are stored as raw IEEE-754 bits (so
+// PipelineRecord training data. It is the only format anything reads
+// back (models, the record cache, the CLI's record files; CSV is an
+// export only): doubles are stored as raw IEEE-754 bits (so
 // round-trips are bit-exact by construction, not by printf precision), all
 // numeric arrays are contiguous little-endian slabs (mmap-friendly: a
 // future reader can point straight into the payload), and the payload is
@@ -121,6 +122,12 @@ std::string EncodeSelectorStack(const SelectorStack& stack);
 Result<SelectorStack> DecodeSelectorStack(std::string_view bytes);
 std::string EncodeRecordBatch(const std::vector<PipelineRecord>& records);
 Result<std::vector<PipelineRecord>> DecodeRecordBatch(std::string_view bytes);
+
+/// One MART model in the selector-stack payload's model encoding
+/// (unframed: no header, no CRC). Decoding runs the same bounds and
+/// tree-structure checks as a stack load and rejects trailing bytes.
+std::string EncodeMartModel(const MartModel& model);
+Result<MartModel> DecodeMartModel(std::string_view bytes);
 
 /// Kind of a snapshot buffer/file without decoding the payload (CRC is
 /// still verified).

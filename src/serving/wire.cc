@@ -154,8 +154,9 @@ Status GetRecord(Reader* r, PipelineRecord* out) {
         "wire record total_n carries a non-finite value");
   }
   // A record whose arity disagrees with this process's schema / estimator
-  // table must be rejected at the wire, exactly as RecordsFromCsv rejects
-  // it at the file boundary — a mixed-arity corpus breaks retraining.
+  // table must be rejected at the wire, exactly as DecodeRecordBatch
+  // rejects it at the file boundary — a mixed-arity corpus breaks
+  // retraining.
   RPE_RETURN_NOT_OK(GetDoubles16(r, &out->features,
                                  FeatureSchema::Get().num_features(),
                                  "features"));
@@ -387,6 +388,17 @@ Result<CloseRequest> DecodeCloseRequest(std::string_view payload) {
   RPE_RETURN_NOT_OK(r.Get(&m.session_id));
   RPE_RETURN_NOT_OK(r.ExpectEnd());
   return m;
+}
+
+Status DecodeStatsRequest(std::string_view payload) {
+  if (payload.empty()) return Status::OK();
+  return Status::InvalidArgument("StatsRequest carries a nonempty payload");
+}
+
+Status DecodeMetricsDumpRequest(std::string_view payload) {
+  if (payload.empty()) return Status::OK();
+  return Status::InvalidArgument(
+      "MetricsDumpRequest carries a nonempty payload");
 }
 
 Result<WireStats> DecodeStatsResponse(std::string_view payload) {

@@ -278,6 +278,10 @@ Result<ProgressRequest> DecodeProgressRequest(std::string_view payload);
 Result<ProgressResponse> DecodeProgressResponse(std::string_view payload);
 Result<CloseRequest> DecodeCloseRequest(std::string_view payload);
 Result<WireStats> DecodeStatsResponse(std::string_view payload);
+/// Stats and MetricsDump requests carry no payload; a nonempty one is a
+/// protocol error.
+Status DecodeStatsRequest(std::string_view payload);
+Status DecodeMetricsDumpRequest(std::string_view payload);
 /// The record decoders validate structure AND content: length prefixes
 /// against their caps and the remaining payload, feature/l1/l2 arity
 /// against the process's FeatureSchema / estimator table, and every

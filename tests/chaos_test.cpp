@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +30,7 @@
 namespace rpe {
 namespace {
 
+using ::rpe::testing::EnvCount;
 using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::RandomRecords;
 
@@ -39,12 +39,6 @@ uint64_t SplitMix64(uint64_t* state) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
-}
-
-uint64_t EnvCount(const char* name, uint64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  return std::strtoull(env, nullptr, 10);
 }
 
 class ChaosTest : public ::testing::Test {

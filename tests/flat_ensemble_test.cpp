@@ -1,8 +1,9 @@
 // FlatEnsembleSet tests: bit-exact equivalence with MartModel::Predict
 // across random models and inputs (one-model and multi-model sets), the
-// serialize → deserialize → compile round trip, batch scoring, non-finite
-// inputs, the leaf bound, and thread-count invariance of training
-// (parallel training must serialize byte-identically).
+// encode → decode → compile round trip through the .rpsn model encoding,
+// batch scoring, non-finite inputs, the leaf bound, and thread-count
+// invariance of training (parallel training must fit bit-identical
+// models).
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -13,6 +14,8 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "mart/flat_ensemble.h"
+#include "serving/snapshot.h"
+#include "tests/test_util.h"
 
 namespace rpe {
 namespace {
@@ -67,8 +70,9 @@ TEST(FlatEnsembleSetTest, SerializeDeserializeFlattenRoundTrip) {
   MartParams params;
   params.num_trees = 40;
   MartModel model = MartModel::Train(data, params);
-  auto restored = MartModel::Deserialize(model.Serialize());
+  auto restored = DecodeMartModel(EncodeMartModel(model));
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ::rpe::testing::ExpectSameModel(model, *restored);
 
   const FlatEnsembleSet set = FlatEnsembleSet::Compile({model});
   const FlatEnsembleSet set_restored = FlatEnsembleSet::Compile({*restored});
@@ -192,12 +196,12 @@ TEST(ParallelTrainingTest, SerializedModelsAreThreadCountInvariant) {
 
   ThreadPool sequential(1);
   params.pool = &sequential;
-  const std::string blob_seq = MartModel::Train(data, params).Serialize();
+  const MartModel seq = MartModel::Train(data, params);
   for (const int threads : {2, 8}) {
     ThreadPool pool(threads);
     params.pool = &pool;
-    EXPECT_EQ(blob_seq, MartModel::Train(data, params).Serialize())
-        << "threads=" << threads;
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ::rpe::testing::ExpectSameModel(seq, MartModel::Train(data, params));
   }
 }
 

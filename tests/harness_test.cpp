@@ -7,6 +7,8 @@
 
 #include "harness/experiment.h"
 #include "harness/runner.h"
+#include "serving/snapshot.h"
+#include "tests/test_util.h"
 
 namespace rpe {
 namespace {
@@ -87,18 +89,6 @@ TEST_F(HarnessTest, RunQuerySingle) {
   EXPECT_GT(run->result.total_time, 0.0);
 }
 
-TEST_F(HarnessTest, CsvRoundTrip) {
-  const std::string csv = RecordsToCsv(*records_);
-  auto loaded = RecordsFromCsv(csv);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), records_->size());
-  for (size_t i = 0; i < records_->size(); ++i) {
-    EXPECT_EQ((*loaded)[i].workload, (*records_)[i].workload);
-    EXPECT_EQ((*loaded)[i].features.size(), (*records_)[i].features.size());
-    EXPECT_NEAR((*loaded)[i].l1[0], (*records_)[i].l1[0], 1e-9);
-  }
-}
-
 TEST_F(HarnessTest, SelectorTrainsAndBeatsWorstEstimator) {
   // Split odd/even to get disjoint train/test.
   std::vector<PipelineRecord> train, test;
@@ -145,17 +135,48 @@ TEST_F(HarnessTest, SelectivityBucketsPartition) {
   EXPECT_GT(assigned, 0u);
 }
 
-TEST_F(HarnessTest, CachedRecordsRoundTrip) {
-  setenv("RPE_CACHE_DIR", "harness_test_cache", 1);
+// The record cache hands back exactly what a cold run computed (it is a
+// bit-exact .rpsn record batch), and a cache file that fails to decode is
+// recomputed and rewritten, never returned.
+TEST_F(HarnessTest, CachedRecordsHitIsBitExactAndBadFileIsRecomputed) {
+  const std::string dir = ::rpe::testing::TempPath("record_cache");
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(setenv("RPE_CACHE_DIR", dir.c_str(), 1), 0);
   WorkloadConfig config = SmallTpch(123);
   config.num_queries = 10;
-  auto first = CachedRecords("harness_test_tiny", config);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  auto second = CachedRecords("harness_test_tiny", config);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first->size(), second->size());
+  // Counts the records a call computes: a cache hit computes none.
+  size_t computed = 0;
+  RunOptions options;
+  options.on_record = [&computed](const PipelineRecord&) { ++computed; };
+
+  auto cold = CachedRecords("tiny", config, options);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_FALSE(cold->empty());
+  EXPECT_EQ(computed, cold->size());
+  const std::string cold_bytes = EncodeRecordBatch(*cold);
+
+  auto hit = CachedRecords("tiny", config, options);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(computed, cold->size()) << "the second call recomputed";
+  EXPECT_TRUE(EncodeRecordBatch(*hit) == cold_bytes)
+      << "the cache hit differs from the cold run";
+
+  const std::string path = dir + "/tiny.rpsn";
+  ASSERT_TRUE(std::filesystem::exists(path));
+  const auto full_size = std::filesystem::file_size(path);
+  std::filesystem::resize_file(path, full_size / 2);
+  auto recomputed = CachedRecords("tiny", config, options);
+  ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
+  EXPECT_EQ(computed, 2 * cold->size())
+      << "the truncated file was not recomputed";
+  EXPECT_TRUE(EncodeRecordBatch(*recomputed) == cold_bytes);
+  EXPECT_EQ(std::filesystem::file_size(path), full_size);
+  auto reread = LoadRecordBatch(path);
+  ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+  EXPECT_TRUE(EncodeRecordBatch(*reread) == cold_bytes);
+
   unsetenv("RPE_CACHE_DIR");
-  std::filesystem::remove_all("harness_test_cache");
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // MART learner tests: binning (column-major layout), one-pass leaf
 // histograms and the subtraction trick, tree fitting, boosting
-// convergence, serialization, feature importance and the linear baseline.
+// convergence, the .rpsn model encoding, feature importance and the
+// linear baseline.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +13,8 @@
 #include "common/thread_pool.h"
 #include "mart/linear.h"
 #include "mart/mart.h"
+#include "serving/snapshot.h"
+#include "tests/test_util.h"
 
 namespace rpe {
 namespace {
@@ -203,11 +206,10 @@ TEST(TreeTest, SubtractionAndDirectHistogramsFitIdenticalModels) {
   params.subsample = 0.8;
   params.seed = 5;
   params.tree.force_direct_histograms = false;
-  const std::string with_subtraction =
-      MartModel::Train(data, params).Serialize();
+  const MartModel with_subtraction = MartModel::Train(data, params);
   params.tree.force_direct_histograms = true;
-  const std::string direct = MartModel::Train(data, params).Serialize();
-  EXPECT_EQ(with_subtraction, direct);
+  const MartModel direct = MartModel::Train(data, params);
+  testing::ExpectSameModel(with_subtraction, direct);
 }
 
 // --- Regression tree -----------------------------------------------------
@@ -271,11 +273,14 @@ TEST(TreeTest, SerializationRoundTrip) {
   TreeParams params;
   RegressionTree tree =
       RegressionTree::Fit(binned, residuals, {}, params, nullptr);
-  auto restored = RegressionTree::Deserialize(tree.Serialize());
-  ASSERT_TRUE(restored.ok());
+  // A lone tree persists as a one-tree model in the .rpsn model encoding.
+  const MartModel model = MartModel::FromParts(0.0, 1.0, {tree}, {});
+  auto restored = DecodeMartModel(EncodeMartModel(model));
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  testing::ExpectSameModel(model, *restored);
   for (size_t i = 0; i < 50; ++i) {
     const auto x = data.ExampleFeatures(i);
-    EXPECT_DOUBLE_EQ(tree.Predict(x), restored->Predict(x));
+    EXPECT_EQ(tree.Predict(x), restored->trees()[0].Predict(x));
   }
 }
 
@@ -340,18 +345,32 @@ TEST(MartTest, SerializationRoundTrip) {
   MartParams params;
   params.num_trees = 25;
   MartModel model = MartModel::Train(data, params);
-  auto restored = MartModel::Deserialize(model.Serialize());
+  const std::string bytes = EncodeMartModel(model);
+  auto restored = DecodeMartModel(bytes);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->num_trees(), model.num_trees());
+  testing::ExpectSameModel(model, *restored);
   for (size_t i = 0; i < 100; ++i) {
     const auto x = data.ExampleFeatures(i);
-    EXPECT_DOUBLE_EQ(model.Predict(x), restored->Predict(x));
+    EXPECT_EQ(model.Predict(x), restored->Predict(x));
   }
+  // Re-encoding the decoded model reproduces the bytes.
+  EXPECT_EQ(EncodeMartModel(*restored), bytes);
 }
 
 TEST(MartTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(MartModel::Deserialize("not a model").ok());
-  EXPECT_FALSE(MartModel::Deserialize("MART 0.5").ok());
+  EXPECT_FALSE(DecodeMartModel("not a model").ok());
+  EXPECT_FALSE(DecodeMartModel("").ok());
+  Dataset data = MakeDataset(300, 32, StepTarget);
+  MartParams params;
+  params.num_trees = 3;
+  const std::string bytes = EncodeMartModel(MartModel::Train(data, params));
+  // Every strict prefix is truncated, and a trailing byte is rejected too.
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(DecodeMartModel(std::string_view(bytes).substr(0, len)).ok())
+        << "prefix of " << len << " bytes";
+  }
+  EXPECT_FALSE(DecodeMartModel(bytes + '\0').ok());
+  ASSERT_TRUE(DecodeMartModel(bytes).ok());
 }
 
 TEST(MartTest, EmptyDatasetProducesConstantZero) {

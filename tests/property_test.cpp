@@ -1,6 +1,7 @@
 // Property-based suites (parameterized gtest): engine-wide invariants swept
 // across operator shapes, skew levels, tuning levels, memory budgets and
-// seeds.
+// seeds. RPE_FUZZ_CASES scales the random queries per swept workload
+// (default 12).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +16,7 @@
 namespace rpe {
 namespace {
 
+using ::rpe::testing::EnvCount;
 using ::rpe::testing::MakeSmallCatalog;
 
 // ---------------------------------------------------------------------------
@@ -196,7 +198,7 @@ TEST_P(WorkloadInvariantTest, AllQueriesPlanAndRun) {
   config.scale = 1.0;
   config.zipf = zipf;
   config.tuning = tuning;
-  config.num_queries = 12;
+  config.num_queries = EnvCount("RPE_FUZZ_CASES", 12);
   config.seed = 1234;
   auto workload = BuildWorkload(config);
   ASSERT_TRUE(workload.ok()) << workload.status().ToString();

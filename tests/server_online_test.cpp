@@ -23,7 +23,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -41,6 +40,7 @@
 namespace rpe {
 namespace {
 
+using ::rpe::testing::EnvCount;
 using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::RandomRecords;
 
@@ -49,12 +49,6 @@ uint64_t SplitMix64(uint64_t* state) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
-}
-
-uint64_t EnvCount(const char* name, uint64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  return std::strtoull(env, nullptr, 10);
 }
 
 /// Minimal blocking client (mirrors the one in wire_test.cpp; the

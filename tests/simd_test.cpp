@@ -40,6 +40,7 @@
 namespace rpe {
 namespace {
 
+using ::rpe::testing::EnvCount;
 using ::rpe::testing::RandomRecords;
 using ::rpe::testing::TempPath;
 
@@ -48,12 +49,6 @@ uint64_t SplitMix64(uint64_t* state) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
-}
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  return std::strtoull(env, nullptr, 10);
 }
 
 /// Uniform double in [0, 1) from the replay PRNG.
@@ -220,12 +215,12 @@ TEST(SimdCrc32, KnownAnswersOnEveryTier) {
 }
 
 TEST(SimdCrc32, DifferentialAgainstScalarAcrossSizesAndOffsets) {
-  const uint64_t base_seed = EnvU64("RPE_FUZZ_SEED", 0xC5C32025ull);
+  const uint64_t base_seed = EnvCount("RPE_FUZZ_SEED", 0xC5C32025ull);
   // Sizes straddle every kernel boundary: sub-8 scalar tail, sub-64
   // fold cutoff, 16-byte fold granularity, and large buffers.
   const size_t sizes[] = {0,  1,  7,   8,   15,  16,   63,  64,
                          65, 80, 100, 255, 256, 1000, 4096};
-  const size_t num_cases = EnvU64("RPE_FUZZ_CASES", 4);
+  const size_t num_cases = EnvCount("RPE_FUZZ_CASES", 4);
   for (size_t c = 0; c < num_cases; ++c) {
     const uint64_t case_seed = base_seed + c;
     uint64_t state = case_seed;
@@ -252,7 +247,7 @@ TEST(SimdCrc32, DifferentialAgainstScalarAcrossSizesAndOffsets) {
 }
 
 TEST(SimdCrc32, ChainedMultiSlabEqualsOneShotOnEveryTier) {
-  const uint64_t case_seed = EnvU64("RPE_FUZZ_SEED", 0xABCDull);
+  const uint64_t case_seed = EnvCount("RPE_FUZZ_SEED", 0xABCDull);
   uint64_t state = case_seed;
   std::vector<unsigned char> buf(10000);
   for (auto& b : buf) b = static_cast<unsigned char>(SplitMix64(&state));
@@ -332,8 +327,8 @@ void ExpectAccumulateMatchesScalar(const std::vector<uint8_t>& col,
 }
 
 TEST(SimdAccumulate, DifferentialAcrossColumnShapes) {
-  const uint64_t base_seed = EnvU64("RPE_FUZZ_SEED", 0xACC00ull);
-  const size_t num_cases = EnvU64("RPE_FUZZ_CASES", 6);
+  const uint64_t base_seed = EnvCount("RPE_FUZZ_SEED", 0xACC00ull);
+  const size_t num_cases = EnvCount("RPE_FUZZ_CASES", 6);
   // Straddle the 32-byte chunk size and its tails.
   const size_t sizes[] = {0, 1, 7, 31, 32, 33, 63, 64, 100, 257, 1000};
   constexpr size_t kBins = 256;
@@ -431,8 +426,8 @@ std::vector<std::vector<double>> HostileRows(size_t num_rows, size_t nf,
 }
 
 TEST(SimdBatchScore, DifferentialAgainstPerRowScoring) {
-  const uint64_t base_seed = EnvU64("RPE_FUZZ_SEED", 0xBA7C4ull);
-  const size_t num_cases = EnvU64("RPE_FUZZ_CASES", 3);
+  const uint64_t base_seed = EnvCount("RPE_FUZZ_SEED", 0xBA7C4ull);
+  const size_t num_cases = EnvCount("RPE_FUZZ_CASES", 3);
   // Batch sizes around the 8-row tile: empty, sub-tile tails, exact
   // tiles, and multi-tile with a tail.
   const size_t batch_sizes[] = {0, 1, 7, 8, 9, 64, 67};

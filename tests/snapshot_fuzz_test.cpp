@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -30,6 +29,7 @@
 namespace rpe {
 namespace {
 
+using ::rpe::testing::EnvCount;
 using ::rpe::testing::RandomRecords;
 using ::rpe::testing::TempPath;
 
@@ -38,12 +38,6 @@ uint64_t SplitMix64(uint64_t* state) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
-}
-
-size_t EnvCount(const char* name, size_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  return static_cast<size_t>(std::strtoull(env, nullptr, 10));
 }
 
 void WriteBytes(const std::string& path, const std::string& bytes) {

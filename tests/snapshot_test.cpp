@@ -1,5 +1,5 @@
-// Serving-layer tests: binary snapshot round-trips (bit-exact vs. the text
-// serialization path), corruption/truncation rejection, and MonitorService
+// Serving-layer tests: binary snapshot round-trips (bit-exact, models
+// compared field by field), corruption/truncation rejection, and MonitorService
 // concurrency — sessions driven from any number of threads must replay
 // progress series bit-identical to the sequential ProgressMonitor.
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@ namespace rpe {
 namespace {
 
 using ::rpe::testing::DriveSessions;
+using ::rpe::testing::ExpectSameModel;
 using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::MetricValue;
 using ::rpe::testing::RandomRecords;
@@ -71,6 +72,22 @@ TEST_F(SnapshotTest, RecordBatchRoundTripIsByteIdentical) {
   EXPECT_EQ(EncodeRecordBatch(*decoded), bytes);
 }
 
+// Records captured by a binary with a different estimator table must not
+// load silently re-indexed: the batch header's arity is checked first.
+TEST_F(SnapshotTest, RecordBatchWithForeignEstimatorArityIsRejected) {
+  std::vector<PipelineRecord> foreign(records_->begin(),
+                                      records_->begin() + 3);
+  for (PipelineRecord& r : foreign) {
+    r.l1.pop_back();
+    r.l2.pop_back();
+  }
+  auto decoded = DecodeRecordBatch(EncodeRecordBatch(foreign));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("estimator arity"),
+            std::string::npos)
+      << decoded.status().ToString();
+}
+
 TEST_F(SnapshotTest, EmptyRecordBatchRoundTrips) {
   const std::string bytes = EncodeRecordBatch({});
   auto decoded = DecodeRecordBatch(bytes);
@@ -94,10 +111,7 @@ TEST_F(SnapshotTest, SelectorStackRoundTripIsBitExact) {
               loaded.uses_dynamic_features());
     ASSERT_EQ(original.models().size(), loaded.models().size());
     for (size_t m = 0; m < original.models().size(); ++m) {
-      // The text serialization is the reference persistence path; the
-      // binary round-trip must agree with it exactly.
-      EXPECT_EQ(original.models()[m].Serialize(),
-                loaded.models()[m].Serialize());
+      ExpectSameModel(original.models()[m], loaded.models()[m]);
     }
     // Scoring is bit-exact too (same models, deterministic recompile).
     for (const PipelineRecord& r : *records_) {

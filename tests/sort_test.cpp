@@ -1,6 +1,7 @@
 // SortRows against a reference std::sort on (key, full row) over seeded
 // random shapes and adversarial input orders. The Sort and BatchSort
 // operators are checked against the same reference in exec_test.cpp.
+// RPE_FUZZ_CASES scales the random-shape trials (default 120).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 namespace rpe {
 namespace {
 
+using ::rpe::testing::EnvCount;
 using ::rpe::testing::SortedByKey;
 
 constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
@@ -68,8 +70,9 @@ std::vector<Row> RandomRows(Rng* rng, size_t n, size_t width, size_t prefix,
 TEST(RowSortTest, MatchesReferenceOnSeededRandomShapes) {
   Rng rng(20260417);
   const size_t sizes[] = {0, 1, 2, 15, 16, 17, 100, 10000};
-  for (int trial = 0; trial < 120; ++trial) {
-    const size_t n = sizes[static_cast<size_t>(trial) % 8];
+  const uint64_t trials = EnvCount("RPE_FUZZ_CASES", 120);
+  for (uint64_t trial = 0; trial < trials; ++trial) {
+    const size_t n = sizes[trial % 8];
     const size_t width = 1 + rng.NextUInt(50);
     const size_t prefix = rng.NextUInt(width + 1);
     const int64_t cardinality = 1 + static_cast<int64_t>(rng.NextUInt(6));

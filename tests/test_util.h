@@ -1,12 +1,17 @@
 // Shared fixtures for the test suite: a tiny deterministic catalog with
 // known contents so operator results can be checked against brute force,
 // the executor's reference sort order, random records, per-process temp
-// paths, and a multi-threaded session driver for the serving tier.
+// paths, env-scaled case counts, a bit-exact model comparison, and a
+// multi-threaded session driver for the serving tier.
 #pragma once
 
+#include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -19,6 +24,7 @@
 #include "common/logging.h"
 #include "common/status.h"
 #include "exec/executor.h"
+#include "mart/mart.h"
 #include "obs/metrics.h"
 #include "selection/record.h"
 #include "storage/catalog.h"
@@ -33,6 +39,47 @@ inline std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() /
           (std::to_string(::getpid()) + "_" + name))
       .string();
+}
+
+/// Case count (or seed) for the seeded fuzz, property and chaos suites:
+/// the decimal value of environment variable `name`, or `fallback` when it
+/// is unset or empty. RPE_FUZZ_CASES / RPE_CHAOS_ROUNDS scale a suite up
+/// (the CI fuzz job runs 10000 cases); RPE_FUZZ_SEED=<seed> with
+/// RPE_FUZZ_CASES=1 replays one printed failure.
+inline uint64_t EnvCount(const char* name, uint64_t fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  return std::strtoull(env, nullptr, 10);
+}
+
+/// Bit-for-bit model equality, independent of any persistence format:
+/// bias, learning rate, per-feature gains and every field of every tree
+/// node. Doubles compare as raw bits, so -0.0 vs 0.0 or two NaN payloads
+/// count as different.
+inline void ExpectSameModel(const MartModel& a, const MartModel& b) {
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  EXPECT_EQ(bits(a.bias()), bits(b.bias()));
+  EXPECT_EQ(bits(a.learning_rate()), bits(b.learning_rate()));
+  ASSERT_EQ(a.feature_gains().size(), b.feature_gains().size());
+  for (size_t f = 0; f < a.feature_gains().size(); ++f) {
+    EXPECT_EQ(bits(a.feature_gains()[f]), bits(b.feature_gains()[f]))
+        << "gain of feature " << f;
+  }
+  ASSERT_EQ(a.num_trees(), b.num_trees());
+  for (size_t t = 0; t < a.num_trees(); ++t) {
+    const auto& na = a.trees()[t].nodes();
+    const auto& nb = b.trees()[t].nodes();
+    ASSERT_EQ(na.size(), nb.size()) << "tree " << t;
+    for (size_t i = 0; i < na.size(); ++i) {
+      EXPECT_EQ(na[i].feature, nb[i].feature) << "tree " << t << " node " << i;
+      EXPECT_EQ(bits(na[i].threshold), bits(nb[i].threshold))
+          << "tree " << t << " node " << i;
+      EXPECT_EQ(na[i].left, nb[i].left) << "tree " << t << " node " << i;
+      EXPECT_EQ(na[i].right, nb[i].right) << "tree " << t << " node " << i;
+      EXPECT_EQ(bits(na[i].value), bits(nb[i].value))
+          << "tree " << t << " node " << i;
+    }
+  }
 }
 
 /// Value of the unlabeled sample `name` in one Collect() of `registry` —

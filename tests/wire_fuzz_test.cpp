@@ -10,7 +10,6 @@
 // the CI fuzz job).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -19,21 +18,18 @@
 #include "progress/estimator.h"
 #include "selection/features.h"
 #include "serving/wire.h"
+#include "tests/test_util.h"
 
 namespace rpe {
 namespace {
+
+using ::rpe::testing::EnvCount;
 
 uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
-}
-
-size_t EnvCount(const char* name, size_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  return static_cast<size_t>(std::strtoull(env, nullptr, 10));
 }
 
 /// A decodable wire record: schema-arity features, estimator-table-arity
@@ -265,7 +261,17 @@ void DrainOneCase(const std::string& stream, uint64_t seed) {
           (void)DecodeCloseRequest(frame.payload);
           break;
         case MsgType::kStats:
+          EXPECT_EQ(DecodeStatsRequest(frame.payload).ok(),
+                    frame.payload.empty())
+              << "seed=" << seed;
           (void)DecodeStatsResponse(frame.payload);
+          break;
+        case MsgType::kMetricsDump:
+          // The request carries nothing; any payload is a protocol error
+          // (the response's payload is free-form exposition text).
+          EXPECT_EQ(DecodeMetricsDumpRequest(frame.payload).ok(),
+                    frame.payload.empty())
+              << "seed=" << seed;
           break;
         case MsgType::kIngestRecord:
           (void)DecodeIngestRecordRequest(frame.payload);
@@ -318,6 +324,42 @@ TEST(WireFuzzTest, UnmutatedStreamYieldsFourteenFrames) {
   }
   EXPECT_EQ(frames, 14u);
   EXPECT_EQ(decoder.buffered_bytes(), 0u);
+}
+
+// Stats and MetricsDump requests are empty by definition: the frame layer
+// passes any payload through, and the request decoders the server answers
+// with must reject every nonempty one.
+TEST(WireFuzzTest, EmptyRequestsRejectAnyPayload) {
+  const size_t cases = EnvCount("RPE_FUZZ_CASES", 300) / 4 + 1;
+  const uint64_t base_seed = EnvCount("RPE_FUZZ_SEED", 1) + 0x60000000ull;
+  for (const std::string& empty :
+       {EncodeStatsRequest(), EncodeMetricsDumpRequest()}) {
+    FrameDecoder decoder;
+    decoder.Feed(empty);
+    WireFrame frame;
+    auto next = decoder.Next(&frame);
+    ASSERT_TRUE(next.ok() && *next);
+    EXPECT_TRUE(DecodeStatsRequest(frame.payload).ok());
+    EXPECT_TRUE(DecodeMetricsDumpRequest(frame.payload).ok());
+  }
+  for (size_t i = 0; i < cases; ++i) {
+    const uint64_t seed = base_seed + i;
+    uint64_t rng = seed;
+    std::string payload(1 + SplitMix64(&rng) % 64, '\0');
+    for (char& b : payload) b = static_cast<char>(SplitMix64(&rng));
+    for (const MsgType type : {MsgType::kStats, MsgType::kMetricsDump}) {
+      FrameDecoder decoder;
+      decoder.Feed(EncodeFrame(type, 0, payload));
+      WireFrame frame;
+      auto next = decoder.Next(&frame);
+      ASSERT_TRUE(next.ok() && *next) << "seed=" << seed;
+      const Status st = type == MsgType::kStats
+                            ? DecodeStatsRequest(frame.payload)
+                            : DecodeMetricsDumpRequest(frame.payload);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+          << "rerun: RPE_FUZZ_SEED=" << seed << " RPE_FUZZ_CASES=1";
+    }
+  }
 }
 
 TEST(WireFuzzTest, SeededMutationsNeverCrashTheCodec) {

@@ -1,27 +1,24 @@
 // Command-line driver for the progress-estimation library:
 //
 //   rpe_cli run      --kind tpch --queries 200 --scale 10 --zipf 1.0
-//                    --tuning partial --seed 1 --out records.csv
-//       Build a workload, execute it, and write the pipeline records.
-//       `--out x.rpsn` (or --binary) writes a binary record snapshot.
+//                    --tuning partial --seed 1 --out records.rpsn
+//       Build a workload, execute it, and write the pipeline records as a
+//       binary record snapshot (`--out` must end in .rpsn).
 //
-//   rpe_cli train    --records records.{csv|rpsn} [--pool three|six|all]
+//   rpe_cli train    --records records.rpsn [--pool three|six|all]
 //                    [--trees 200] --out stack.rpsn
 //       Train the full selector stack (static + dynamic) and persist it as
 //       a binary model snapshot.
 //
-//   rpe_cli evaluate --train a.csv --test b.csv [--pool ...] [--dynamic]
+//   rpe_cli evaluate --train a.rpsn --test b.rpsn [--pool ...] [--dynamic]
 //       Train on one record set, evaluate on another, print the metrics.
 //
-//   rpe_cli inspect  --records records.{csv|rpsn}
+//   rpe_cli inspect  --records records.rpsn
 //       Summarize a record set (per-estimator error stats and win rates).
 //
-//   rpe_cli snapshot-save --records records.csv --out records.rpsn
-//       Convert a CSV record set into a binary record snapshot.
-//
 //   rpe_cli snapshot-load --in x.rpsn [--out records.csv]
-//       Verify + describe a snapshot (either kind); optionally convert a
-//       record snapshot back to CSV.
+//       Verify + describe a snapshot (either kind); optionally export a
+//       record snapshot as CSV (the one CSV output; nothing reads it back).
 //
 //   rpe_cli serve-tcp --kind tpch --queries 40 [--port 0] [--shards 4]
 //                     [--io-threads 0] [--model stack.rpsn] [--mmap]
@@ -60,6 +57,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "common/failpoint.h"
@@ -197,23 +195,22 @@ Result<WorkloadConfig> ParseWorkloadFlags(
   return config;
 }
 
-bool IsSnapshotPath(const std::string& path) {
-  return path.size() >= 5 &&
-         path.compare(path.size() - 5, 5, ".rpsn") == 0;
-}
-
-/// Records load from either persistence format, keyed by extension:
-/// `.rpsn` is the binary snapshot, anything else the CSV path.
-Result<std::vector<PipelineRecord>> LoadRecordsAuto(const std::string& path) {
-  if (IsSnapshotPath(path)) return LoadRecordBatch(path);
-  return LoadRecords(path);
-}
-
 int CmdRun(const std::map<std::string, std::string>& flags) {
   auto config = ParseWorkloadFlags(flags, /*default_scale=*/"10",
                                    /*default_queries=*/"200");
   if (!config.ok()) {
     std::cerr << config.status().ToString() << "\n";
+    return 2;
+  }
+  // Records persist only as .rpsn; a CSV view is snapshot-load's export.
+  const std::string out = FlagOr(flags, "out", "records.rpsn");
+  if (!std::string_view(out).ends_with(".rpsn")) {
+    std::cerr << Status::InvalidArgument(
+                     "invalid --out value '" + out +
+                     "' (expected a .rpsn path; export CSV with "
+                     "snapshot-load --out x.csv)")
+                     .ToString()
+              << "\n";
     return 2;
   }
 
@@ -225,12 +222,7 @@ int CmdRun(const std::map<std::string, std::string>& flags) {
     std::cerr << records.status().ToString() << "\n";
     return 1;
   }
-  const bool binary = flags.count("binary") > 0;
-  const std::string out =
-      FlagOr(flags, "out", binary ? "records.rpsn" : "records.csv");
-  const Status save = binary || IsSnapshotPath(out)
-                          ? SaveRecordBatch(*records, out)
-                          : SaveRecords(*records, out);
+  const Status save = SaveRecordBatch(*records, out);
   if (!save.ok()) {
     std::cerr << save.ToString() << "\n";
     return 1;
@@ -245,7 +237,7 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
     std::cerr << trees.status().ToString() << "\n";
     return 2;
   }
-  auto records = LoadRecordsAuto(FlagOr(flags, "records", "records.csv"));
+  auto records = LoadRecordBatch(FlagOr(flags, "records", "records.rpsn"));
   if (!records.ok()) {
     std::cerr << records.status().ToString() << "\n";
     return 1;
@@ -274,10 +266,10 @@ int CmdEvaluate(const std::map<std::string, std::string>& flags) {
     std::cerr << trees.status().ToString() << "\n";
     return 2;
   }
-  auto train = LoadRecordsAuto(FlagOr(flags, "train", "train.csv"));
-  auto test = LoadRecordsAuto(FlagOr(flags, "test", "test.csv"));
+  auto train = LoadRecordBatch(FlagOr(flags, "train", "train.rpsn"));
+  auto test = LoadRecordBatch(FlagOr(flags, "test", "test.rpsn"));
   if (!train.ok() || !test.ok()) {
-    std::cerr << "failed to load records\n";
+    std::cerr << (train.ok() ? test : train).status().ToString() << "\n";
     return 1;
   }
   const auto pool = ParsePool(FlagOr(flags, "pool", "six"));
@@ -304,7 +296,7 @@ int CmdEvaluate(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdInspect(const std::map<std::string, std::string>& flags) {
-  auto records = LoadRecordsAuto(FlagOr(flags, "records", "records.csv"));
+  auto records = LoadRecordBatch(FlagOr(flags, "records", "records.rpsn"));
   if (!records.ok()) {
     std::cerr << records.status().ToString() << "\n";
     return 1;
@@ -325,23 +317,6 @@ int CmdInspect(const std::map<std::string, std::string>& flags) {
                       FractionOptimal(*records, static_cast<size_t>(e)))});
   }
   table.Print();
-  return 0;
-}
-
-int CmdSnapshotSave(const std::map<std::string, std::string>& flags) {
-  auto records = LoadRecordsAuto(FlagOr(flags, "records", "records.csv"));
-  if (!records.ok()) {
-    std::cerr << records.status().ToString() << "\n";
-    return 1;
-  }
-  const std::string out = FlagOr(flags, "out", "records.rpsn");
-  auto save = SaveRecordBatch(*records, out);
-  if (!save.ok()) {
-    std::cerr << save.ToString() << "\n";
-    return 1;
-  }
-  std::cout << records->size() << " records -> binary snapshot " << out
-            << "\n";
   return 0;
 }
 
@@ -649,8 +624,7 @@ void PrintUsage(std::ostream& out) {
          "  train          train the selector stack, write a .rpsn model\n"
          "  evaluate       train on one record set, score another\n"
          "  inspect        summarize a record set\n"
-         "  snapshot-save  convert CSV records to a binary snapshot\n"
-         "  snapshot-load  verify + describe a snapshot\n"
+         "  snapshot-load  verify + describe a snapshot (CSV export)\n"
          "  serve-tcp      epoll TCP front-end over the monitor tier\n"
          "  version        build + SIMD dispatch report (also --version)\n"
          "common flags: --threads N; serve-tcp also takes --shards N\n"
@@ -703,7 +677,6 @@ int Main(int argc, char** argv) {
   if (cmd == "train") return CmdTrain(flags);
   if (cmd == "evaluate") return CmdEvaluate(flags);
   if (cmd == "inspect") return CmdInspect(flags);
-  if (cmd == "snapshot-save") return CmdSnapshotSave(flags);
   if (cmd == "snapshot-load") return CmdSnapshotLoad(flags);
   if (cmd == "serve-tcp") return CmdServeTcp(flags);
   std::cerr << "unknown command: " << cmd << "\n";
